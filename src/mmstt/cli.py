@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -37,18 +36,12 @@ def _load_json(path, what: str) -> dict:
     p = _require_file(path, what)
     try:
         with p.open(encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationFailure(f"{what} {p} is not valid JSON: {exc}") from None
-
-
-def _worker_threads() -> int:
-    raw = os.environ.get("MMSTT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationFailure(f"MMSTT_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
+    if not isinstance(obj, dict):
+        raise ValidationFailure(f"{what} {p} must hold a JSON object")
+    return obj
 
 
 def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dict, outputs: dict):
@@ -101,8 +94,7 @@ def cmd_preprocess(args) -> int:
     bbox = tuple(args.bbox) if args.bbox else rasterize.bbox_of_points(result.points)
     grid = rasterize.GridSpec(bbox=bbox, native_size=args.native_size, working_size=args.working_size)
     plan = rasterize.plan_split(len(result.calendar), args.t_in, args.t_out, args.val_fraction)
-    cube = rasterize.build_cube(result.points, result.calendar, grid,
-                                fit_range=range(plan.fit_stop), max_workers=_worker_threads())
+    cube = rasterize.build_cube(result.points, result.calendar, grid, fit_range=range(plan.fit_stop))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rasterize.save_cube(out, cube)
@@ -187,7 +179,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _parse_nodes(raw: str) -> list[tuple[int, int]]:
+def _parse_nodes(raw: str, size: int) -> list[tuple[int, int]]:
     pixels = []
     for part in raw.split(";"):
         part = part.strip()
@@ -197,6 +189,8 @@ def _parse_nodes(raw: str) -> list[tuple[int, int]]:
             h, w = (int(v) for v in part.split(","))
         except ValueError:
             raise ValidationFailure(f"bad --nodes entry {part!r}; expected 'row,col'") from None
+        if not (0 <= h < size and 0 <= w < size):
+            raise ValidationFailure(f"--nodes pixel {part!r} lies outside the {size}x{size} working grid")
         pixels.append((h, w))
     return pixels
 
@@ -212,7 +206,7 @@ def cmd_eval(args) -> int:
         _, windows = rasterize.split_windows(windows, plan)
     report = ev.evaluate(
         params, model_cfg, windows, cube.norm_stats,
-        node_pixels=_parse_nodes(args.nodes) if args.nodes else None,
+        node_pixels=_parse_nodes(args.nodes, cube.values.shape[-1]) if args.nodes else None,
         n_bins=args.bins,
         event_time_index=args.event_time,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,8 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "ModelConfig":
+        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
+            raise ModelError(f"unknown model config key(s): {', '.join(unknown)}")
         return cls(**d)
 
 

@@ -35,6 +35,8 @@ def save_tensor(path, t: Tensor) -> None:
 
 def load_tensor(path) -> Tensor:
     raw = Path(path).read_bytes()
+    if len(raw) < 7 or len(raw) < 7 + 4 * raw[6]:
+        raise TensorFileError(f"{path}: {len(raw)} bytes, shorter than its header")
     if raw[:4] != MAGIC:
         raise TensorFileError(f"{path}: bad magic {raw[:4]!r}")
     version, code, rank = struct.unpack_from("<BBB", raw, 4)

@@ -1,12 +1,12 @@
 """Scattered points to normalized multi-channel data cubes and training windows.
 
-Per acquisition date the displacement field is linearly interpolated over the
-Delaunay triangulation of the points onto a fine native grid, cells outside
-the convex hull take the nearest point's value, and the result is reduced to
-the working resolution by non-overlapping block means. Static priors get the
-same treatment once; the per-pixel displacement series is then smoothed along
-time and channels 0-3 are Z-scored with statistics from the training time
-range only.
+Point values are linearly interpolated over the Delaunay triangulation of the
+points onto a fine native grid, cells outside the convex hull take the nearest
+point's value, and block means reduce the result to the working resolution.
+That map depends only on the geometry, so it is one precomputed sparse matrix
+applied to all acquisition dates and static priors at once. The per-pixel
+displacement series is then smoothed along time and channels 0-3 are Z-scored
+with statistics from the training time range only.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import LinearNDInterpolator
+from scipy import sparse
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .ingest import AcquisitionCalendar, MeasurementPoint
@@ -121,42 +120,56 @@ class SplitPlan:
 
 
 class GridInterpolator:
-    """Reusable Delaunay-linear interpolator for one scatter of (x, y) sites.
-
-    The triangulation, hull mask, and nearest-site indices are geometry-only
-    and computed once; each call just evaluates a new value set.
-    """
+    """Delaunay-linear interpolation of one scatter of (x, y) sites onto the
+    working grid, as a sparse (working_size**2, n_points) matrix. Native cells
+    take the barycentric weights of their simplex (from `Delaunay.transform`,
+    as scipy's linear interpolator computes them), or weight 1 on the nearest
+    site outside the hull; each working pixel averages its native block."""
 
     def __init__(self, xy: np.ndarray, grid: GridSpec):
         xy = np.asarray(xy, dtype=np.float64)
         if xy.ndim != 2 or xy.shape[1] != 2 or xy.shape[0] < 3:
             raise RasterizeError(f"need >=3 (x, y) points, got array of shape {xy.shape}")
         self.grid = grid
-        self._xy = xy
         try:
-            self._tri = Delaunay(xy)
+            tri = Delaunay(xy)
         except QhullError:
             raise RasterizeError("points are collinear; Delaunay triangulation undefined") from None
         gx, gy = grid.cell_centers()
-        self._targets = np.column_stack([gx.ravel(), gy.ravel()])
-        self._outside = self._tri.find_simplex(self._targets) < 0
-        self._nearest = cKDTree(xy).query(self._targets)[1]
+        targets = np.column_stack([gx.ravel(), gy.ravel()])
+        simplex = tri.find_simplex(targets)
+        # outside cells (simplex -1) read the last simplex here and are overwritten below
+        transform = tri.transform[simplex]
+        bary = np.einsum("cij,cj->ci", transform[:, :2], targets - transform[:, 2])
+        weights = np.column_stack([bary, 1.0 - bary[:, 0] - bary[:, 1]])
+        sites = tri.simplices[simplex]
+        outside = simplex < 0
+        weights[outside] = (1.0, 0.0, 0.0)
+        sites[outside] = cKDTree(xy).query(targets[outside])[1][:, None]
+
+        n, m, block = grid.native_size, grid.working_size, grid.block
+        row, col = np.divmod(np.arange(n * n), n)
+        pixel = (row // block) * m + col // block
+        # duplicate (pixel, site) entries are summed, which folds in the block mean
+        self._weights = sparse.csr_matrix(
+            ((weights / block**2).ravel(), (np.repeat(pixel, 3), sites.ravel())),
+            shape=(m * m, xy.shape[0]),
+        )
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
+        """Rasterize (n_points,) or (n_points, k) values to (working, working[, k])."""
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self._xy.shape[0],):
-            raise RasterizeError(f"expected {self._xy.shape[0]} values, got shape {values.shape}")
-        out = LinearNDInterpolator(self._tri, values)(self._targets)
-        fill = self._outside | np.isnan(out)
-        out[fill] = values[self._nearest[fill]]
-        n = self.grid.native_size
-        return out.reshape(n, n)
+        n_points = self._weights.shape[1]
+        if values.ndim not in (1, 2) or values.shape[0] != n_points:
+            raise RasterizeError(f"expected {n_points} values per column, got shape {values.shape}")
+        m = self.grid.working_size
+        return (self._weights @ values).reshape(m, m, *values.shape[1:])
 
 
 def interpolate_grid(xy: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Piecewise-linear interpolation of scattered values onto the native grid,
     nearest-neighbor outside the convex hull."""
-    return GridInterpolator(xy, grid)(values)
+    return GridInterpolator(xy, replace(grid, working_size=grid.native_size))(values)
 
 
 def downsample(x: np.ndarray, factor: int = 4) -> np.ndarray:
@@ -237,13 +250,11 @@ def build_cube(
     calendar: AcquisitionCalendar,
     grid: GridSpec,
     fit_range: range | None = None,
-    max_workers: int = 1,
 ) -> DataCube:
     """Rasterize points into the normalized 6-channel cube.
 
     fit_range defaults to the full time axis; pass the training range from a
-    SplitPlan to keep validation data out of the statistics. Rasterization is
-    independent per date, so `max_workers` > 1 parallelizes that stage.
+    SplitPlan to keep validation data out of the statistics.
     """
     if not points:
         raise RasterizeError("no measurement points")
@@ -254,29 +265,14 @@ def build_cube(
     if fit_range is None:
         fit_range = range(t)
 
-    xy = np.array([[p.easting, p.northing] for p in points], dtype=np.float64)
-    interp = GridInterpolator(xy, grid)
-    block = grid.block
-    h = w = grid.working_size
-
+    interp = GridInterpolator(np.array([[p.easting, p.northing] for p in points]), grid)
     series = np.array([p.series for p in points], dtype=np.float64)  # (n_points, T)
+    statics = np.array([[p.mean_velocity, p.acceleration, p.seasonality] for p in points])
 
-    def raster_at(time_index: int) -> np.ndarray:
-        return downsample(interp(series[:, time_index]), block)
-
+    h = w = grid.working_size
     cube = np.empty((t, 6, h, w), dtype=np.float64)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for ti, frame in enumerate(pool.map(raster_at, range(t))):
-                cube[ti, 0] = frame
-    else:
-        for ti in range(t):
-            cube[ti, 0] = raster_at(ti)
-    cube[:, 0] = smooth_series(cube[:, 0])
-
-    for c, attr in ((1, "mean_velocity"), (2, "acceleration"), (3, "seasonality")):
-        static = downsample(interp(np.array([getattr(p, attr) for p in points])), block)
-        cube[:, c] = static[None, :, :]
+    cube[:, 0] = smooth_series(np.moveaxis(interp(series), -1, 0))
+    cube[:, 1:4] = np.moveaxis(interp(statics), -1, 0)
 
     for ti, d in enumerate(calendar.days_of_year):
         f_sin, f_cos = encode_day(d)
@@ -374,21 +370,19 @@ def load_cube(path) -> DataCube:
     values = load_tensor(path).data
     with open(f"{path}.json", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    stats = NormStats(
-        mean=sidecar["norm_stats"]["mean"],
-        std=sidecar["norm_stats"]["std"],
-        constant=sidecar["norm_stats"]["constant"],
-    )
-    calendar = AcquisitionCalendar(tuple(dt.date.fromisoformat(d) for d in sidecar["calendar"]))
-    grid = GridSpec(
-        bbox=tuple(sidecar["bbox"]),
-        native_size=sidecar["native_size"],
-        working_size=sidecar["working_size"],
-    )
-    return DataCube(
-        values=values,
-        norm_stats=stats,
-        calendar=calendar,
-        grid=grid,
-        fit_range=tuple(sidecar["fit_range"]),
-    )
+    try:
+        stats = NormStats(
+            mean=sidecar["norm_stats"]["mean"],
+            std=sidecar["norm_stats"]["std"],
+            constant=sidecar["norm_stats"]["constant"],
+        )
+        calendar = AcquisitionCalendar(tuple(dt.date.fromisoformat(d) for d in sidecar["calendar"]))
+        grid = GridSpec(
+            bbox=tuple(sidecar["bbox"]),
+            native_size=sidecar["native_size"],
+            working_size=sidecar["working_size"],
+        )
+        fit_range = tuple(sidecar["fit_range"])
+    except KeyError as exc:
+        raise RasterizeError(f"cube sidecar {path}.json lacks the key {exc}") from None
+    return DataCube(values=values, norm_stats=stats, calendar=calendar, grid=grid, fit_range=fit_range)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class RegimeSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "RegimeSpec":
+        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
+            raise SynthError(f"unknown regime spec key(s): {', '.join(unknown)}")
         d = dict(d)
         for key in ("center", "bbox"):
             if key in d:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 from collections import OrderedDict
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "TrainConfig":
+        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
+            raise TrainError(f"unknown train config key(s): {', '.join(unknown)}")
         return cls(**d)
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,23 +113,60 @@ def test_validation_failures_exit_1(configs, capsys):
                  "--cube", str(tmp_path / "c.mmst"), "--out-dir", str(tmp_path / "r")]) == 1
 
 
-def test_worker_thread_cap_does_not_change_output(configs, monkeypatch):
+def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
     tmp_path, paths = configs
-    csv = tmp_path / "threads.csv"
-    assert main(["synth", "--spec", paths["spec"], "--out", str(csv)]) == 0
-    cubes = {}
-    for tag, threads in (("one", "1"), ("four", "4")):
-        monkeypatch.setenv("MMSTT_THREADS", threads)
-        out = tmp_path / f"cube_{tag}.mmst"
-        assert main(["preprocess", "--csv", str(csv), "--out", str(out),
-                     "--native-size", "32", "--working-size", "8",
-                     "--t-in", "2", "--t-out", "2"]) == 0
-        cubes[tag] = out.read_bytes()
-    assert cubes["one"] == cubes["four"]
-    monkeypatch.setenv("MMSTT_THREADS", "zero")
-    assert main(["preprocess", "--csv", str(csv), "--out", str(tmp_path / "x.mmst"),
-                 "--native-size", "32", "--working-size", "8",
-                 "--t-in", "2", "--t-out", "2"]) == 1
+    out = run_pipeline(tmp_path, paths)
+    cube, ckpt = out / "cube.mmst", out / "model" / "checkpoint"
+
+    def json_file(name, payload):
+        p = tmp_path / name
+        p.write_text(json.dumps(payload))
+        return str(p)
+
+    def with_extra_key(path, **extra):
+        return {**json.loads(Path(path).read_text()), **extra}
+
+    def damaged_cube(name, data: bytes, sidecar: dict):
+        p = tmp_path / name
+        p.write_bytes(data)
+        Path(f"{p}.json").write_text(json.dumps(sidecar))
+        return str(p)
+
+    sidecar = json.loads(Path(f"{cube}.json").read_text())
+    no_calendar = {k: v for k, v in sidecar.items() if k != "calendar"}
+
+    def evaluate(cube=cube, *extra):
+        return ["eval", "--checkpoint", str(ckpt), "--cube", str(cube),
+                "--out-dir", str(tmp_path / "report"), *extra]
+
+    def train(model=paths["model"], train=paths["train"]):
+        return ["train", "--cube", str(cube), "--model-config", model, "--train-config", train,
+                "--out-dir", str(tmp_path / "model")]
+
+    cases = {
+        "node row and column past the grid": evaluate(cube, "--nodes", "99,99"),
+        "negative node pixel": evaluate(cube, "--nodes=-1,-1"),
+        "node column past the grid": evaluate(cube, "--nodes", "2,3;0,8"),
+        "unknown train config key": train(train=json_file(
+            "train_extra.json", with_extra_key(paths["train"], epochs=3))),
+        "unknown model config key": train(model=json_file(
+            "model_extra.json", with_extra_key(paths["model"], depth=2))),
+        "config that is not an object": train(train=json_file("train_list.json", [1, 2])),
+        "unknown regime spec key": ["synth", "--spec", json_file(
+            "spec_extra.json", with_extra_key(paths["spec"], points=5)),
+            "--out", str(tmp_path / "x.csv")],
+        "tensor shorter than the fixed header": evaluate(
+            damaged_cube("stub.mmst", cube.read_bytes()[:5], sidecar)),
+        "tensor cut inside its extents": evaluate(
+            damaged_cube("cut.mmst", cube.read_bytes()[:12], sidecar)),
+        "sidecar without calendar": evaluate(
+            damaged_cube("no_calendar.mmst", cube.read_bytes(), no_calendar)),
+    }
+    capsys.readouterr()
+    for name, argv in cases.items():
+        assert main(argv) == 1, name
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1, (name, err)
 
 
 def test_manifest_written_with_resolved_config(configs):

@@ -2,7 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
+from scipy.interpolate import LinearNDInterpolator
+from scipy.spatial import Delaunay, cKDTree
 
 from mmstt import rasterize as rz
 from mmstt.ingest import AcquisitionCalendar, MeasurementPoint
@@ -85,6 +86,54 @@ class TestInterpolateGrid:
         xy = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
         with pytest.raises(RasterizeError, match="collinear"):
             rz.interpolate_grid(xy, np.ones(3), unit_grid())
+
+
+def per_date_reference(xy, values, grid):
+    """Rasterization as it was done per date before the precomputed operator:
+    scipy's linear interpolator on the native grid, NaN and outside-hull
+    cells filled from the nearest site, then the block mean."""
+    tri = Delaunay(xy)
+    gx, gy = grid.cell_centers()
+    targets = np.column_stack([gx.ravel(), gy.ravel()])
+    out = LinearNDInterpolator(tri, values)(targets)
+    fill = (tri.find_simplex(targets) < 0) | np.isnan(out)
+    out[fill] = values[cKDTree(xy).query(targets[fill])[1]]
+    n = grid.native_size
+    return rz.downsample(out.reshape(n, n), grid.block)
+
+
+class TestGridInterpolator:
+    @staticmethod
+    def corner_scatter(n_points=40, seed=17):
+        # the hull covers only the lower-left part of the unit square
+        rng = np.random.default_rng(seed)
+        return rng.uniform(0.0, 0.6, size=(n_points, 2)), rng.normal(size=(n_points, 5))
+
+    @pytest.mark.parametrize("working", [32, 8])  # block 1 and block 4
+    def test_matches_per_date_reference(self, working):
+        xy, values = self.corner_scatter()
+        grid = unit_grid(native=32, working=working)
+        gx, gy = grid.cell_centers()
+        outside = Delaunay(xy).find_simplex(np.column_stack([gx.ravel(), gy.ravel()])) < 0
+        assert 0.3 < outside.mean() < 0.9
+        interp = rz.GridInterpolator(xy, grid)
+        for k in range(values.shape[1]):
+            got = interp(values[:, k])
+            assert got.shape == (working, working)
+            assert np.allclose(got, per_date_reference(xy, values[:, k], grid), rtol=0, atol=1e-12)
+
+    def test_batched_call_equals_single_columns(self):
+        xy, values = self.corner_scatter()
+        interp = rz.GridInterpolator(xy, unit_grid())
+        batched = interp(values)
+        assert batched.shape == (8, 8, values.shape[1])
+        for k in range(values.shape[1]):
+            assert np.array_equal(batched[..., k], interp(values[:, k]))
+
+    def test_rejects_wrong_value_count(self):
+        xy, values = self.corner_scatter()
+        with pytest.raises(RasterizeError, match="expected 40"):
+            rz.GridInterpolator(xy, unit_grid())(values[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +305,6 @@ class TestBuildCube:
             region = cube.values[fit.start:fit.stop, c]
             assert abs(region.mean()) < 1e-5
             assert abs(region.std() - 1.0) < 1e-4
-
-    def test_parallel_matches_serial(self):
-        cal = weekly_calendar(10)
-        rng = np.random.default_rng(13)
-        pts = scatter_points(rng, 15, cal, lambda x, y, t: x * t + y)
-        serial = rz.build_cube(pts, cal, unit_grid(), max_workers=1)
-        parallel = rz.build_cube(pts, cal, unit_grid(), max_workers=4)
-        assert np.array_equal(serial.values, parallel.values)
 
 
 # ---------------------------------------------------------------------------
