@@ -66,6 +66,24 @@ def _load_cube_windows(cube_path, t_in: int, t_out: int):
     return cube, windows
 
 
+def _cube_split(cube, model_cfg, val_fraction) -> rasterize.SplitPlan:
+    """The split fixed at preprocess; a request may only restate it."""
+    split = cube.split
+    if split is None:
+        raise ValidationFailure("cube has no train/validation split; rerun preprocess")
+    if (split.t_in, split.t_out) != (model_cfg.t_in, model_cfg.t_out):
+        raise ValidationFailure(
+            f"cube split was planned for t_in={split.t_in}, t_out={split.t_out}; "
+            f"the model has t_in={model_cfg.t_in}, t_out={model_cfg.t_out}"
+        )
+    if val_fraction is not None and val_fraction != split.val_fraction:
+        raise ValidationFailure(
+            f"val_fraction {val_fraction} differs from the cube's {split.val_fraction}, "
+            "which its statistics were fitted for; rerun preprocess to change the split"
+        )
+    return split
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -94,7 +112,7 @@ def cmd_preprocess(args) -> int:
     bbox = tuple(args.bbox) if args.bbox else rasterize.bbox_of_points(result.points)
     grid = rasterize.GridSpec(bbox=bbox, native_size=args.native_size, working_size=args.working_size)
     plan = rasterize.plan_split(len(result.calendar), args.t_in, args.t_out, args.val_fraction)
-    cube = rasterize.build_cube(result.points, result.calendar, grid, fit_range=range(plan.fit_stop))
+    cube = rasterize.build_cube(result.points, result.calendar, grid, split=plan)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rasterize.save_cube(out, cube)
@@ -121,11 +139,7 @@ def cmd_train(args) -> int:
         raise ValidationFailure(
             f"cube working size {cube.values.shape[2]} != model grid size {model_cfg.grid_size}"
         )
-    plan = rasterize.plan_split(cube.n_times, model_cfg.t_in, model_cfg.t_out,
-                                train_cfg.val_fraction)
-    if cube.fit_range != (0, plan.fit_stop):
-        print(f"train: warning: cube stats fit range {cube.fit_range} differs from "
-              f"the split's training range (0, {plan.fit_stop})", file=sys.stderr)
+    plan = _cube_split(cube, model_cfg, train_cfg.val_fraction)
     train_windows, val_windows = rasterize.split_windows(windows, plan)
     result = train.fit(model_cfg, train_cfg, train_windows, val_windows)
 
@@ -201,9 +215,7 @@ def cmd_eval(args) -> int:
     model_cfg, params, _ = model.load_checkpoint(ckpt)
     cube, windows = _load_cube_windows(args.cube, model_cfg.t_in, model_cfg.t_out)
     if args.windows == "val":
-        plan = rasterize.plan_split(cube.n_times, model_cfg.t_in, model_cfg.t_out,
-                                    args.val_fraction)
-        _, windows = rasterize.split_windows(windows, plan)
+        _, windows = rasterize.split_windows(windows, _cube_split(cube, model_cfg, args.val_fraction))
     report = ev.evaluate(
         params, model_cfg, windows, cube.norm_stats,
         node_pixels=_parse_nodes(args.nodes, cube.values.shape[-1]) if args.nodes else None,
@@ -257,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-in", type=int, default=10)
     p.add_argument("--t-out", type=int, default=10)
     p.add_argument("--val-fraction", type=float, default=0.2,
-                   help="fixes the training time range the statistics are fitted on")
+                   help="fixes the split, and with it the training time range the "
+                        "statistics are fitted on; stored in the cube sidecar")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a model on a cube")
@@ -280,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cube", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--windows", choices=("val", "all"), default="val")
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", type=float, default=None,
+                   help="may only restate the cube's split (default: the cube's)")
     p.add_argument("--nodes", default=None, help="semicolon-separated 'row,col' pixels")
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--event-time", type=int, default=None,

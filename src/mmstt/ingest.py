@@ -78,6 +78,15 @@ def _parse_date_header(name: str):
         raise IngestError(f"malformed date column {name!r} (want D_YYYYMMDD)") from None
 
 
+def _rows(reader, path):
+    """The reader's rows, with a malformed row (such as a field over the csv
+    module's size limit) reported as an IngestError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def parse_csv(path) -> ParseResult:
     """Parse one CSV file into points plus the acquisition calendar.
 
@@ -87,7 +96,7 @@ def parse_csv(path) -> ParseResult:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:
@@ -143,22 +152,6 @@ def parse_csv(path) -> ParseResult:
             points.append(MeasurementPoint(row[col_index["pid"]], *statics, series=series))
 
     return ParseResult(points=points, calendar=calendar, dropped=dropped)
-
-
-def parse_csv_many(paths) -> ParseResult:
-    """Parse several files sharing one calendar; file order is preserved."""
-    results = [parse_csv(p) for p in paths]
-    if not results:
-        raise IngestError("no input files")
-    calendar = results[0].calendar
-    for p, r in zip(paths, results):
-        if r.calendar.dates != calendar.dates:
-            raise IngestError(f"{p}: date columns differ from {paths[0]}")
-    merged = ParseResult(points=[], calendar=calendar, dropped=[])
-    for r in results:
-        merged.points.extend(r.points)
-        merged.dropped.extend(r.dropped)
-    return merged
 
 
 def write_csv(path, points: list[MeasurementPoint], calendar: AcquisitionCalendar) -> None:

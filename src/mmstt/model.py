@@ -156,13 +156,13 @@ def _check_params(params, config: ModelConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def tokenize(x: Tensor, params, config: ModelConfig, add_pos: bool = True) -> Tensor:
+def tokenize(x: Tensor, params, config: ModelConfig) -> Tensor:
     """(B, T_in, C, H, W) -> token sequence (B, N, D).
 
     Each non-overlapping P x P patch is flattened channel-major, linearly
     projected to D (one projection shared across all times and positions),
     ordered time-major then row-major over patches, and offset by the
-    learnable positional table unless `add_pos` is False.
+    learnable positional table.
     """
     b = x.shape[0]
     t, c, hh, ww = config.t_in, config.c_in, config.grid_size, config.grid_size
@@ -173,9 +173,7 @@ def tokenize(x: Tensor, params, config: ModelConfig, add_pos: bool = True) -> Te
     x = nm.transpose(x, (0, 1, 3, 5, 2, 4, 6))            # (B, T, gy, gx, C, P, P)
     patches = nm.reshape(x, (b, config.n_tokens, config.patch_dim))
     tokens = nm.broadcast_add(nm.matmul(patches, params["patch_proj.w"]), params["patch_proj.b"])
-    if add_pos:
-        tokens = nm.broadcast_add(tokens, params["pos_embed"])
-    return tokens
+    return nm.broadcast_add(tokens, params["pos_embed"])
 
 
 def multi_head_attention(z: Tensor, params, prefix: str, config: ModelConfig, attn_sink=None) -> Tensor:
@@ -284,12 +282,18 @@ def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
 
 
 def load_checkpoint(directory) -> tuple[ModelConfig, "OrderedDict[str, Tensor]", dict]:
-    directory = Path(directory)
-    with (directory / "manifest.json").open(encoding="utf-8") as fh:
+    path = Path(directory) / "manifest.json"
+    with path.open(encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ModelError(f"checkpoint manifest {path} must hold a JSON object")
+    if missing := [k for k in ("config", "tensors") if not isinstance(manifest.get(k), dict)]:
+        raise ModelError(f"checkpoint manifest {path} lacks the JSON object(s) {', '.join(missing)}")
     config = ModelConfig.from_json(manifest["config"])
     params: OrderedDict[str, Tensor] = OrderedDict()
     for name in param_shapes(config):
-        params[name] = nm.load_tensor(directory / manifest["tensors"][name])
+        if name not in manifest["tensors"]:
+            raise ModelError(f"checkpoint manifest {path} names no tensor file for parameter {name}")
+        params[name] = nm.load_tensor(path.parent / manifest["tensors"][name])
     _check_params(params, config)
     return config, params, manifest

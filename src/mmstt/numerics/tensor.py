@@ -68,36 +68,8 @@ class Tensor:
     def astype(self, dtype) -> "Tensor":
         return Tensor._wrap(self.data.astype(dtype))
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
-
-
-def zeros(shape, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor._wrap(np.zeros(shape, dtype=dtype))
-
-
-def ones(shape, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor._wrap(np.ones(shape, dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +168,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         return g, g
-
-    return _record(out, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes differ: {a.shape} vs {b.shape}")
-    _check_same_dtype("sub", a, b)
-    out = Tensor._wrap(a.data - b.data)
-
-    def backward(g):
-        return g, -g
 
     return _record(out, (a, b), backward)
 
@@ -388,26 +348,6 @@ def transpose(x: Tensor, axes) -> Tensor:
         return (np.transpose(g, inverse),)
 
     return _record(out, (x,), backward)
-
-
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat: need at least one tensor")
-    _check_same_dtype("concat", *tensors)
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if len(t.shape) != len(ref) or any(
-            i != axis % len(ref) and t.shape[i] != ref[i] for i in range(len(ref))
-        ):
-            raise ShapeError(f"concat: incompatible shapes {[t.shape for t in tensors]} on axis {axis}")
-    out = Tensor._wrap(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _record(out, tuple(tensors), backward)
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:

@@ -43,6 +43,10 @@ class GridSpec:
         xmin, ymin, xmax, ymax = self.bbox
         if not (xmax > xmin and ymax > ymin):
             raise RasterizeError(f"degenerate bounding box {self.bbox}")
+        if self.native_size < 1 or self.working_size < 1:
+            raise RasterizeError(
+                f"grid sizes must be >= 1, got native {self.native_size}, working {self.working_size}"
+            )
         if self.native_size % self.working_size:
             raise RasterizeError(
                 f"native size {self.native_size} not divisible by working size {self.working_size}"
@@ -76,20 +80,42 @@ class NormStats:
         return x * self.std[channel] + self.mean[channel]
 
 
+@dataclass(frozen=True)
+class SplitPlan:
+    """Chronological train/validation split over window start indices. Every
+    training window ends strictly before the first validation window begins,
+    so the plan also fixes the time range the Z-score statistics may see.
+    `t_in`, `t_out` and `val_fraction` are the inputs it was planned from."""
+
+    t_in: int
+    t_out: int
+    val_fraction: float
+    train_starts: tuple[int, ...]
+    val_starts: tuple[int, ...]
+    fit_stop: int
+
+
 @dataclass
 class DataCube:
     """(T, 6, H, W) tensor with channels
-    [displacement, mean_velocity, acceleration, seasonality, f_sin, f_cos]."""
+    [displacement, mean_velocity, acceleration, seasonality, f_sin, f_cos].
+    `split` is the train/validation split the statistics were fitted for;
+    None means they were fitted on the whole time axis."""
 
     values: np.ndarray
     norm_stats: NormStats
     calendar: AcquisitionCalendar
     grid: GridSpec
-    fit_range: tuple[int, int]  # [start, stop) time indices used for the stats
+    split: SplitPlan | None
 
     @property
     def n_times(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def fit_range(self) -> tuple[int, int]:
+        """[start, stop) time indices the statistics were fitted on."""
+        return (0, self.n_times if self.split is None else self.split.fit_stop)
 
 
 @dataclass
@@ -101,17 +127,6 @@ class SampleWindow:
     input: np.ndarray   # (T_in, 6, H, W)
     target: np.ndarray  # (T_out, 1, H, W)
     start_index: int
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """Chronological train/validation split over window start indices. Every
-    training window ends strictly before the first validation window begins,
-    so the plan also fixes the time range the Z-score statistics may see."""
-
-    train_starts: tuple[int, ...]
-    val_starts: tuple[int, ...]
-    fit_stop: int
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +202,9 @@ def downsample(x: np.ndarray, factor: int = 4) -> np.ndarray:
     return blocks.mean(axis=-1)
 
 
-def smooth_series(x: np.ndarray, window: int = 3) -> np.ndarray:
-    """Centered moving average along axis 0 with the window shrinking at the
-    edges (length-1 series pass through unchanged)."""
-    if window != 3:
-        raise RasterizeError("only the window-3 moving average is supported")
+def smooth_series(x: np.ndarray) -> np.ndarray:
+    """Centered 3-tap moving average along axis 0 with the window shrinking at
+    the edges (length-1 series pass through unchanged)."""
     x = np.asarray(x, dtype=np.float64)
     t = x.shape[0]
     if t == 1:
@@ -249,12 +262,12 @@ def build_cube(
     points: list[MeasurementPoint],
     calendar: AcquisitionCalendar,
     grid: GridSpec,
-    fit_range: range | None = None,
+    split: SplitPlan | None = None,
 ) -> DataCube:
     """Rasterize points into the normalized 6-channel cube.
 
-    fit_range defaults to the full time axis; pass the training range from a
-    SplitPlan to keep validation data out of the statistics.
+    The statistics are fitted on the split's training range, which keeps
+    validation data out of them; with no split, on the full time axis.
     """
     if not points:
         raise RasterizeError("no measurement points")
@@ -262,8 +275,8 @@ def build_cube(
     for p in points:
         if len(p.series) != t:
             raise RasterizeError(f"point {p.point_id}: series length != calendar length")
-    if fit_range is None:
-        fit_range = range(t)
+    if split is not None and split.val_starts[-1] + split.t_in + split.t_out != t:
+        raise RasterizeError(f"split was not planned for a cube of {t} time steps")
 
     interp = GridInterpolator(np.array([[p.easting, p.northing] for p in points]), grid)
     series = np.array([p.series for p in points], dtype=np.float64)  # (n_points, T)
@@ -279,14 +292,8 @@ def build_cube(
         cube[ti, 4] = f_sin
         cube[ti, 5] = f_cos
 
-    normalized, stats = zscore_fit_apply(cube, fit_range)
-    return DataCube(
-        values=normalized,
-        norm_stats=stats,
-        calendar=calendar,
-        grid=grid,
-        fit_range=(fit_range.start, fit_range.stop),
-    )
+    normalized, stats = zscore_fit_apply(cube, range(t if split is None else split.fit_stop))
+    return DataCube(values=normalized, norm_stats=stats, calendar=calendar, grid=grid, split=split)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +301,14 @@ def build_cube(
 # ---------------------------------------------------------------------------
 
 
-def make_windows(cube: DataCube, t_in: int = 10, t_out: int = 10, stride: int = 1) -> list[SampleWindow]:
+def make_windows(cube: DataCube, t_in: int = 10, t_out: int = 10) -> list[SampleWindow]:
     """Slice the cube into sliding input/target windows. Targets are the
     normalized displacement channel; evaluation denormalizes via norm_stats."""
     t = cube.n_times
     if t < t_in + t_out:
         raise RasterizeError(f"cube has {t} time steps; need at least {t_in + t_out}")
     windows = []
-    for s in range(0, t - t_in - t_out + 1, stride):
+    for s in range(t - t_in - t_out + 1):
         windows.append(
             SampleWindow(
                 input=cube.values[s:s + t_in],
@@ -312,13 +319,15 @@ def make_windows(cube: DataCube, t_in: int = 10, t_out: int = 10, stride: int = 
     return windows
 
 
-def plan_split(n_times: int, t_in: int, t_out: int, val_fraction: float, stride: int = 1) -> SplitPlan:
+def plan_split(n_times: int, t_in: int, t_out: int, val_fraction: float) -> SplitPlan:
     """Chronological split of window start indices with a no-leakage gap: a
     training window's last time index stays strictly below every validation
     window's start index."""
+    if t_in < 1 or t_out < 1:
+        raise RasterizeError(f"t_in and t_out must be >= 1, got {t_in} and {t_out}")
     if not 0.0 < val_fraction < 1.0:
         raise RasterizeError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    starts = list(range(0, n_times - t_in - t_out + 1, stride))
+    starts = list(range(n_times - t_in - t_out + 1))
     if len(starts) < 2:
         raise RasterizeError(f"only {len(starts)} windows; cannot split")
     span = t_in + t_out
@@ -327,8 +336,10 @@ def plan_split(n_times: int, t_in: int, t_out: int, val_fraction: float, stride:
     train_starts = [s for s in starts if s + span - 1 < val_starts[0]]
     if not train_starts:
         raise RasterizeError("no training windows remain after the leakage gap; lower val_fraction")
-    assert max(train_starts) + span - 1 < min(val_starts)
     return SplitPlan(
+        t_in=t_in,
+        t_out=t_out,
+        val_fraction=val_fraction,
         train_starts=tuple(train_starts),
         val_starts=tuple(val_starts),
         fit_stop=max(train_starts) + span,
@@ -359,7 +370,10 @@ def save_cube(path, cube: DataCube) -> None:
         "bbox": list(cube.grid.bbox),
         "native_size": cube.grid.native_size,
         "working_size": cube.grid.working_size,
-        "fit_range": list(cube.fit_range),
+        "split": None if cube.split is None else {
+            "t_in": cube.split.t_in, "t_out": cube.split.t_out,
+            "val_fraction": cube.split.val_fraction,
+        },
     }
     with open(f"{path}.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -382,7 +396,11 @@ def load_cube(path) -> DataCube:
             native_size=sidecar["native_size"],
             working_size=sidecar["working_size"],
         )
-        fit_range = tuple(sidecar["fit_range"])
+        split = sidecar["split"]
+        if split is not None:
+            split = plan_split(len(values), split["t_in"], split["t_out"], split["val_fraction"])
     except KeyError as exc:
         raise RasterizeError(f"cube sidecar {path}.json lacks the key {exc}") from None
-    return DataCube(values=values, norm_stats=stats, calendar=calendar, grid=grid, fit_range=fit_range)
+    except TypeError as exc:
+        raise RasterizeError(f"cube sidecar {path}.json holds a value of the wrong type: {exc}") from None
+    return DataCube(values=values, norm_stats=stats, calendar=calendar, grid=grid, split=split)

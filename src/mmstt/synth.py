@@ -11,7 +11,6 @@ the static channels genuinely describe the dynamics.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -72,11 +71,6 @@ class RegimeSpec:
             if key in d:
                 d[key] = tuple(d[key])
         return cls(**d)
-
-    @classmethod
-    def load(cls, path) -> "RegimeSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def temporal_law(spec: RegimeSpec, t: np.ndarray) -> np.ndarray:

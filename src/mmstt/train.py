@@ -28,13 +28,11 @@ class TrainConfig:
     batch_size: int = 8
     smooth_l1_beta: float = 1.0
     seed: int = 0
-    val_fraction: float = 0.2  # consumed by rasterize.plan_split
+    val_fraction: float | None = None  # may only restate the cube's split; None uses it
 
     def __post_init__(self):
         if self.patience < 1:
             raise TrainError(f"patience must be >= 1, got {self.patience}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise TrainError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.batch_size < 1:
             raise TrainError("batch_size must be >= 1")
 

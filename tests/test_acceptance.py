@@ -117,7 +117,7 @@ def test_criterion_3_pipeline_invariants():
     points, cal = synth.generate(spec)
     grid = rz.GridSpec(bbox=rz.bbox_of_points(points), native_size=32, working_size=8)
     plan = rz.plan_split(60, 10, 10, 0.25)
-    cube = rz.build_cube(points, cal, grid, fit_range=range(plan.fit_stop))
+    cube = rz.build_cube(points, cal, grid, split=plan)
 
     ring = cube.values[:, 4] ** 2 + cube.values[:, 5] ** 2
     ring_ok = bool(np.all(np.abs(ring - 1.0) < 1e-6))
@@ -234,7 +234,7 @@ def test_criterion_6_periodic_regime():
     points, cal = synth.generate(spec)
     grid = rz.GridSpec(bbox=rz.bbox_of_points(points), native_size=64, working_size=16)
     plan = rz.plan_split(120, 10, 10, 0.2)
-    cube = rz.build_cube(points, cal, grid, fit_range=range(plan.fit_stop))
+    cube = rz.build_cube(points, cal, grid, split=plan)
     train_w, val_w = rz.split_windows(rz.make_windows(cube), plan)
 
     mcfg = md.ModelConfig(t_in=10, t_out=10, c_in=6, grid_size=16, patch_size=4,
@@ -274,7 +274,7 @@ def test_criterion_7_coseismic_regime():
         points, cal = synth.generate(spec)
         grid = rz.GridSpec(bbox=rz.bbox_of_points(points), native_size=64, working_size=16)
         plan = rz.plan_split(120, 10, 10, 0.2)
-        cube = rz.build_cube(points, cal, grid, fit_range=range(plan.fit_stop))
+        cube = rz.build_cube(points, cal, grid, split=plan)
         return cube, rz.make_windows(cube), plan
 
     t0 = time.time()

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -28,14 +29,19 @@ def configs(tmp_path):
     return tmp_path, paths
 
 
-def run_pipeline(tmp_path, paths, run="run"):
-    out = tmp_path / run
+def preprocess(paths, out, val_fraction="0.2"):
     csv = out / "data.csv"
     cube = out / "cube.mmst"
     assert main(["synth", "--spec", paths["spec"], "--out", str(csv)]) == 0
     assert main(["preprocess", "--csv", str(csv), "--out", str(cube),
                  "--native-size", "32", "--working-size", "8",
-                 "--t-in", "2", "--t-out", "2", "--val-fraction", "0.2"]) == 0
+                 "--t-in", "2", "--t-out", "2", "--val-fraction", val_fraction]) == 0
+    return cube
+
+
+def run_pipeline(tmp_path, paths, run="run"):
+    out = tmp_path / run
+    cube = preprocess(paths, out)
     assert main(["train", "--cube", str(cube), "--model-config", paths["model"],
                  "--train-config", paths["train"], "--out-dir", str(out / "model")]) == 0
     assert main(["eval", "--checkpoint", str(out / "model" / "checkpoint"),
@@ -133,11 +139,31 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         return str(p)
 
     sidecar = json.loads(Path(f"{cube}.json").read_text())
-    no_calendar = {k: v for k, v in sidecar.items() if k != "calendar"}
 
-    def evaluate(cube=cube, *extra):
-        return ["eval", "--checkpoint", str(ckpt), "--cube", str(cube),
+    def without(d, key):
+        return {k: v for k, v in d.items() if k != key}
+
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    tensor_name = sorted(manifest["tensors"])[0]
+
+    def damaged_checkpoint(name, manifest=manifest, cut_tensor=False):
+        p = tmp_path / name
+        shutil.copytree(ckpt, p)
+        (p / "manifest.json").write_text(json.dumps(manifest))
+        if cut_tensor:
+            f = p / manifest["tensors"][tensor_name]
+            f.write_bytes(f.read_bytes()[:-4])
+        return p
+
+    def evaluate(cube=cube, *extra, checkpoint=ckpt):
+        return ["eval", "--checkpoint", str(checkpoint), "--cube", str(cube),
                 "--out-dir", str(tmp_path / "report"), *extra]
+
+    def rasterize(csv, *extra):
+        return ["preprocess", "--csv", str(csv), "--out", str(tmp_path / "c.mmst"), *extra]
+
+    long_field = tmp_path / "long_field.csv"
+    long_field.write_text((out / "data.csv").read_text() + "p,1," + "9" * 200_000 + "\n")
 
     def train(model=paths["model"], train=paths["train"]):
         return ["train", "--cube", str(cube), "--model-config", model, "--train-config", train,
@@ -160,13 +186,66 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "tensor cut inside its extents": evaluate(
             damaged_cube("cut.mmst", cube.read_bytes()[:12], sidecar)),
         "sidecar without calendar": evaluate(
-            damaged_cube("no_calendar.mmst", cube.read_bytes(), no_calendar)),
+            damaged_cube("no_calendar.mmst", cube.read_bytes(), without(sidecar, "calendar"))),
+        "sidecar without split": evaluate(
+            damaged_cube("no_split.mmst", cube.read_bytes(), without(sidecar, "split"))),
+        "sidecar with a text val_fraction": evaluate(damaged_cube(
+            "text_split.mmst", cube.read_bytes(),
+            {**sidecar, "split": {**sidecar["split"], "val_fraction": "0.2"}})),
+        "cube with no split": evaluate(
+            damaged_cube("null_split.mmst", cube.read_bytes(), {**sidecar, "split": None})),
+        "model t_in differs from the cube's split": train(model=json_file(
+            "model_t_in.json", with_extra_key(paths["model"], t_in=3))),
+        "checkpoint manifest without config": evaluate(checkpoint=damaged_checkpoint(
+            "no_config", without(manifest, "config"))),
+        "checkpoint manifest missing a tensor entry": evaluate(checkpoint=damaged_checkpoint(
+            "no_tensor", {**manifest, "tensors": without(manifest["tensors"], tensor_name)})),
+        "checkpoint manifest that is a list": evaluate(checkpoint=damaged_checkpoint(
+            "list_manifest", [manifest])),
+        "truncated checkpoint tensor": evaluate(checkpoint=damaged_checkpoint(
+            "cut_tensor", cut_tensor=True)),
+        "zero working size": rasterize(out / "data.csv", "--working-size", "0"),
+        "corrupt CSV (field over the csv size limit)": rasterize(long_field),
     }
     capsys.readouterr()
     for name, argv in cases.items():
         assert main(argv) == 1, name
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1, (name, err)
+
+
+def test_train_refuses_a_val_fraction_the_cube_was_not_split_with(configs, capsys):
+    tmp_path, paths = configs
+    out = tmp_path / "run"
+    cube = preprocess(paths, out, val_fraction="0.4")
+    capsys.readouterr()
+    assert main(["train", "--cube", str(cube), "--model-config", paths["model"],
+                 "--train-config", paths["train"], "--out-dir", str(out / "model")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "val_fraction" in err, err
+
+
+def test_train_and_eval_default_to_the_cube_split(configs, capsys):
+    tmp_path, paths = configs
+    out = tmp_path / "run"
+    cube = preprocess(paths, out, val_fraction="0.4")
+    ckpt = out / "model" / "checkpoint"
+    train_cfg = {k: v for k, v in json.loads(Path(paths["train"]).read_text()).items()
+                 if k != "val_fraction"}
+    (tmp_path / "train_cube_split.json").write_text(json.dumps(train_cfg))
+    assert main(["train", "--cube", str(cube), "--model-config", paths["model"],
+                 "--train-config", str(tmp_path / "train_cube_split.json"),
+                 "--out-dir", str(out / "model")]) == 0
+    assert main(["eval", "--checkpoint", str(ckpt), "--cube", str(cube),
+                 "--out-dir", str(out / "report")]) == 0
+    report = json.loads((out / "report" / "report.json").read_text())
+    assert report["n_windows"] == 16  # round(0.4 * 41) of the 44-date cube's windows
+
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--cube", str(cube),
+                 "--out-dir", str(out / "report"), "--val-fraction", "0.2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "val_fraction" in err, err
 
 
 def test_manifest_written_with_resolved_config(configs):

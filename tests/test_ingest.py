@@ -76,21 +76,6 @@ def test_missing_mandatory_column(tmp_path):
         ingest.parse_csv(f)
 
 
-def test_inconsistent_calendars_across_files(tmp_path):
-    a = write_lines(tmp_path / "a.csv", [
-        "pid,easting,northing,mean_velocity,acceleration,seasonality,D_20180101",
-        "p1,0,0,0,0,0,1",
-    ])
-    b = write_lines(tmp_path / "b.csv", [
-        "pid,easting,northing,mean_velocity,acceleration,seasonality,D_20180108",
-        "p2,0,0,0,0,0,1",
-    ])
-    with pytest.raises(IngestError, match="date columns differ"):
-        ingest.parse_csv_many([a, b])
-    merged = ingest.parse_csv_many([a, a])
-    assert len(merged.points) == 2
-
-
 class TestDayOfYear:
     def test_jan_first(self):
         assert ingest.day_of_year(dt.date(2018, 1, 1)) == 1.0

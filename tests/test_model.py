@@ -82,8 +82,8 @@ class TestTokenize:
         b_data = a.data.copy()
         b_data[0, 1, :, 0:4, 4:8] += 1.0  # second time slice, patch (0, 1)
         b = Tensor(b_data, dtype=np.float32)
-        ta = md.tokenize(a, params, cfg, add_pos=False).data
-        tb = md.tokenize(b, params, cfg, add_pos=False).data
+        ta = md.tokenize(a, params, cfg).data
+        tb = md.tokenize(b, params, cfg).data
         diff = np.abs(ta - tb).sum(axis=-1)[0]
         changed = np.nonzero(diff)[0]
         g = cfg.patches_per_side
@@ -102,7 +102,7 @@ class TestEncoder:
         params = md.init_params(cfg, np.random.default_rng(0))
         for name in list(params):
             if "layer0" in name and not name.endswith(".gamma"):
-                params[name] = nm.zeros(params[name].shape, dtype=np.float32)
+                params[name] = Tensor(np.zeros(params[name].shape), dtype=np.float32)
         rng = np.random.default_rng(5)
         z = Tensor(rng.normal(size=(2, cfg.n_tokens, cfg.embed_dim)), dtype=np.float32)
         out = md.encoder_layer(z, params, 0, cfg)

@@ -133,13 +133,13 @@ def test_reshape_transpose_round_trips_bit_exact():
     assert np.array_equal(back.data, x.data)
 
 
-def test_concat_and_slice_round_trip():
+def test_slice_recovers_concatenated_parts():
     rng = np.random.default_rng(13)
-    parts = [t64(rng.normal(size=(2, k, 3))) for k in (1, 4, 2)]
-    whole = nm.concat(parts, axis=1)
-    assert whole.shape == (2, 7, 3)
-    assert np.array_equal(nm.slice_axis(whole, 1, 1, 5).data, parts[1].data)
-    assert np.array_equal(whole.data, np.concatenate([p.data for p in parts], axis=1))
+    parts = [rng.normal(size=(2, k, 3)) for k in (1, 4, 2)]
+    whole = t64(np.concatenate(parts, axis=1))
+    for part, start in zip(parts, (0, 1, 5)):
+        stop = start + part.shape[1]
+        assert np.array_equal(nm.slice_axis(whole, 1, start, stop).data, part)
 
 
 def test_elementwise_and_broadcast_add_oracles():
@@ -147,7 +147,6 @@ def test_elementwise_and_broadcast_add_oracles():
     a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
     assert np.array_equal(nm.add(t64(a), t64(b)).data, a + b)
     assert np.array_equal(nm.mul(t64(a), t64(b)).data, a * b)
-    assert np.array_equal(nm.sub(t64(a), t64(b)).data, a - b)
     bias = rng.normal(size=(5,))
     assert np.array_equal(nm.broadcast_add(t64(a), t64(bias)).data, a + bias)
     with pytest.raises(ShapeError):
@@ -217,11 +216,6 @@ OP_CASES = {
         1,
         [((3, 4),), ((2, 3, 4),), ((2, 2, 3, 2),)],
         lambda ps: nm.transpose(ps[0], tuple(reversed(range(ps[0].ndim)))),
-    ),
-    "concat": (
-        2,
-        [((2, 3), (2, 3)), ((4,), (2,)), ((2, 2, 2), (2, 1, 2))],
-        lambda ps: nm.concat(list(ps), axis=ps[0].ndim - 2 if ps[0].ndim > 1 else 0),
     ),
     "slice": (
         1,

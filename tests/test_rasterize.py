@@ -297,12 +297,12 @@ class TestBuildCube:
         cal = weekly_calendar(24)
         rng = np.random.default_rng(11)
         pts = scatter_points(rng, 25, cal, lambda x, y, t: np.sin(0.3 * t + x) + y)
-        fit = range(18)
-        cube = rz.build_cube(pts, cal, unit_grid(), fit_range=fit)
+        cube = rz.build_cube(pts, cal, unit_grid(), split=rz.plan_split(24, 3, 3, 0.2))
+        assert cube.fit_range == (0, 15)
         for c in range(4):
             if cube.norm_stats.constant[c]:
                 continue
-            region = cube.values[fit.start:fit.stop, c]
+            region = cube.values[:15, c]
             assert abs(region.mean()) < 1e-5
             assert abs(region.std() - 1.0) < 1e-4
 
@@ -316,7 +316,7 @@ def tiny_cube(n_times, h=4):
     rng = np.random.default_rng(n_times)
     values = rng.normal(size=(n_times, 6, h, h))
     stats = rz.NormStats(mean=[0.0] * 4, std=[1.0] * 4, constant=[False] * 4)
-    return DataCube(values, stats, weekly_calendar(n_times), unit_grid(16, h), (0, n_times))
+    return DataCube(values, stats, weekly_calendar(n_times), unit_grid(16, h), split=None)
 
 
 class TestWindows:
@@ -364,13 +364,15 @@ class TestSplitPlan:
     def test_impossible_split(self):
         with pytest.raises(RasterizeError):
             rz.plan_split(21, 10, 10, 0.5)
+        with pytest.raises(RasterizeError, match="t_in and t_out"):
+            rz.plan_split(30, 0, 10, 0.2)
 
 
 def test_cube_save_load_round_trip(tmp_path):
     cal = weekly_calendar(12)
     rng = np.random.default_rng(21)
     pts = scatter_points(rng, 10, cal, lambda x, y, t: x + 0.1 * t)
-    cube = rz.build_cube(pts, cal, unit_grid(), fit_range=range(9))
+    cube = rz.build_cube(pts, cal, unit_grid(), split=rz.plan_split(12, 2, 2, 0.25))
     path = tmp_path / "cube.mmst"
     rz.save_cube(path, cube)
     back = rz.load_cube(path)
@@ -380,4 +382,5 @@ def test_cube_save_load_round_trip(tmp_path):
     assert back.norm_stats.constant == cube.norm_stats.constant
     assert back.calendar.dates == cal.dates
     assert back.grid == cube.grid
-    assert back.fit_range == (0, 9)
+    assert back.split == cube.split
+    assert back.fit_range == (0, 7)
