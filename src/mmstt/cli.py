@@ -60,8 +60,8 @@ def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dic
 
 
 def _load_cube_windows(cube_path, t_in: int, t_out: int):
-    cube = rasterize.load_cube(_require_file(cube_path, "cube file"))
     _require_file(f"{cube_path}.json", "cube sidecar")
+    cube = rasterize.load_cube(_require_file(cube_path, "cube file"))
     windows = rasterize.make_windows(cube, t_in=t_in, t_out=t_out)
     return cube, windows
 
@@ -214,8 +214,10 @@ def cmd_eval(args) -> int:
     _require_file(ckpt / "manifest.json", "checkpoint manifest")
     model_cfg, params, _ = model.load_checkpoint(ckpt)
     cube, windows = _load_cube_windows(args.cube, model_cfg.t_in, model_cfg.t_out)
-    if args.windows == "val":
-        _, windows = rasterize.split_windows(windows, _cube_split(cube, model_cfg, args.val_fraction))
+    if args.windows == "val" or args.val_fraction is not None:
+        plan = _cube_split(cube, model_cfg, args.val_fraction)
+        if args.windows == "val":
+            _, windows = rasterize.split_windows(windows, plan)
     report = ev.evaluate(
         params, model_cfg, windows, cube.norm_stats,
         node_pixels=_parse_nodes(args.nodes, cube.values.shape[-1]) if args.nodes else None,

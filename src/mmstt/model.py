@@ -257,22 +257,24 @@ def forward(x: Tensor, params, config: ModelConfig, attn_sink=None, dropout_rng=
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one tensor file per parameter plus a JSON manifest
+# Checkpoints: a JSON manifest plus every parameter in one flat tensor file
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
                     val_loss: float | None = None) -> None:
+    """Write `params.mmst`, every parameter flattened in `param_shapes` order,
+    then `manifest.json`. The old manifest goes first, so a save that stops
+    part-way leaves a directory `load_checkpoint` refuses, never one that
+    loads a mix of old and new weights."""
+    _check_params(params, config)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    tensors = {}
-    for name, tensor in params.items():
-        fname = name.replace("/", "_") + ".mmst"
-        nm.save_tensor(directory / fname, tensor)
-        tensors[name] = fname
+    (directory / "manifest.json").unlink(missing_ok=True)
+    flat = np.concatenate([params[name].data.ravel() for name in param_shapes(config)])
+    nm.save_tensor(directory / "params.mmst", Tensor._wrap(flat))
     manifest = {
         "config": config.to_json(),
-        "tensors": tensors,
         "train_step": train_step,
         "validation_loss": val_loss,
     }
@@ -282,18 +284,23 @@ def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
 
 
 def load_checkpoint(directory) -> tuple[ModelConfig, "OrderedDict[str, Tensor]", dict]:
-    path = Path(directory) / "manifest.json"
+    """The config, the parameters as views into the one flat `params.mmst`
+    vector, and the manifest."""
+    directory = Path(directory)
+    path = directory / "manifest.json"
     with path.open(encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ModelError(f"checkpoint manifest {path} must hold a JSON object")
-    if missing := [k for k in ("config", "tensors") if not isinstance(manifest.get(k), dict)]:
-        raise ModelError(f"checkpoint manifest {path} lacks the JSON object(s) {', '.join(missing)}")
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ModelError(f"checkpoint manifest {path} must be a JSON object with a config object")
     config = ModelConfig.from_json(manifest["config"])
-    params: OrderedDict[str, Tensor] = OrderedDict()
-    for name in param_shapes(config):
-        if name not in manifest["tensors"]:
-            raise ModelError(f"checkpoint manifest {path} names no tensor file for parameter {name}")
-        params[name] = nm.load_tensor(path.parent / manifest["tensors"][name])
-    _check_params(params, config)
+    shapes = param_shapes(config)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = nm.load_tensor(directory / "params.mmst").data
+    expected = (sum(sizes),)
+    if flat.shape != expected:
+        raise ModelError(f"{directory / 'params.mmst'} has shape {flat.shape}; "
+                         f"the manifest's config needs {expected}")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    params = OrderedDict((name, Tensor._wrap(part.reshape(shape)))
+                         for (name, shape), part in zip(shapes.items(), parts))
     return config, params, manifest

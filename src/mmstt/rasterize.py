@@ -112,11 +112,6 @@ class DataCube:
     def n_times(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def fit_range(self) -> tuple[int, int]:
-        """[start, stop) time indices the statistics were fitted on."""
-        return (0, self.n_times if self.split is None else self.split.fit_stop)
-
 
 @dataclass
 class SampleWindow:
@@ -185,21 +180,6 @@ def interpolate_grid(xy: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.n
     """Piecewise-linear interpolation of scattered values onto the native grid,
     nearest-neighbor outside the convex hull."""
     return GridInterpolator(xy, replace(grid, working_size=grid.native_size))(values)
-
-
-def downsample(x: np.ndarray, factor: int = 4) -> np.ndarray:
-    """Non-overlapping `factor` x `factor` block mean of a square raster."""
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise RasterizeError(f"downsample expects a square raster, got {x.shape}")
-    n = x.shape[0]
-    if n % factor:
-        raise RasterizeError(f"extent {n} not divisible by block factor {factor}")
-    m = n // factor
-    # reduce each block as one contiguous row-major vector so the result is
-    # bit-identical to block.mean() of the same cells
-    blocks = x.reshape(m, factor, m, factor).swapaxes(1, 2).reshape(m, m, factor * factor)
-    return blocks.mean(axis=-1)
 
 
 def smooth_series(x: np.ndarray) -> np.ndarray:

@@ -144,16 +144,20 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         return {k: v for k, v in d.items() if k != key}
 
     manifest = json.loads((ckpt / "manifest.json").read_text())
-    tensor_name = sorted(manifest["tensors"])[0]
 
-    def damaged_checkpoint(name, manifest=manifest, cut_tensor=False):
+    def damaged_checkpoint(name, manifest=manifest, remove=None, cut_params=False):
         p = tmp_path / name
         shutil.copytree(ckpt, p)
         (p / "manifest.json").write_text(json.dumps(manifest))
-        if cut_tensor:
-            f = p / manifest["tensors"][tensor_name]
+        if remove:
+            (p / remove).unlink()
+        if cut_params:
+            f = p / "params.mmst"
             f.write_bytes(f.read_bytes()[:-4])
         return p
+
+    no_sidecar = tmp_path / "no_sidecar.mmst"
+    no_sidecar.write_bytes(cube.read_bytes())
 
     def evaluate(cube=cube, *extra, checkpoint=ckpt):
         return ["eval", "--checkpoint", str(checkpoint), "--cube", str(cube),
@@ -198,20 +202,37 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
             "model_t_in.json", with_extra_key(paths["model"], t_in=3))),
         "checkpoint manifest without config": evaluate(checkpoint=damaged_checkpoint(
             "no_config", without(manifest, "config"))),
-        "checkpoint manifest missing a tensor entry": evaluate(checkpoint=damaged_checkpoint(
-            "no_tensor", {**manifest, "tensors": without(manifest["tensors"], tensor_name)})),
+        "checkpoint without params.mmst": evaluate(checkpoint=damaged_checkpoint(
+            "no_params", remove="params.mmst")),
+        "checkpoint config that needs another parameter count": evaluate(
+            checkpoint=damaged_checkpoint(
+                "other_config", {**manifest, "config": {**manifest["config"], "ffn_hidden": 32}})),
+        "checkpoint without a manifest (an interrupted save)": evaluate(
+            checkpoint=damaged_checkpoint("no_manifest", remove="manifest.json")),
         "checkpoint manifest that is a list": evaluate(checkpoint=damaged_checkpoint(
             "list_manifest", [manifest])),
         "truncated checkpoint tensor": evaluate(checkpoint=damaged_checkpoint(
-            "cut_tensor", cut_tensor=True)),
+            "cut_params", cut_params=True)),
+        "cube without a sidecar": evaluate(no_sidecar),
+        "eval --windows all with a val_fraction the cube was not split with": evaluate(
+            cube, "--windows", "all", "--val-fraction", "0.9"),
         "zero working size": rasterize(out / "data.csv", "--working-size", "0"),
         "corrupt CSV (field over the csv size limit)": rasterize(long_field),
+    }
+    messages = {
+        "checkpoint without params.mmst": "params.mmst",
+        "checkpoint config that needs another parameter count": "needs (",
+        "checkpoint without a manifest (an interrupted save)": "checkpoint manifest not found",
+        "truncated checkpoint tensor": "params.mmst",
+        "cube without a sidecar": "cube sidecar not found",
+        "eval --windows all with a val_fraction the cube was not split with": "val_fraction",
     }
     capsys.readouterr()
     for name, argv in cases.items():
         assert main(argv) == 1, name
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1, (name, err)
+        assert messages.get(name, "") in err, (name, err)
 
 
 def test_train_refuses_a_val_fraction_the_cube_was_not_split_with(configs, capsys):

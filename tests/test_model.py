@@ -273,11 +273,30 @@ def test_encoder_layer_gradient_check():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    params = md.init_params(TINY, np.random.default_rng(0))
-    md.save_checkpoint(tmp_path / "ckpt", TINY, params, train_step=17, val_loss=0.25)
-    cfg, back, manifest = md.load_checkpoint(tmp_path / "ckpt")
-    assert cfg == TINY
-    assert manifest["train_step"] == 17
-    assert manifest["validation_loss"] == 0.25
-    for name, p in params.items():
-        assert np.array_equal(back[name].data, p.data)
+    for dtype in (np.float32, np.float64):
+        ckpt = tmp_path / np.dtype(dtype).name
+        params = md.init_params(TINY, np.random.default_rng(0), dtype=dtype)
+        md.save_checkpoint(ckpt, TINY, params, train_step=17, val_loss=0.25)
+        assert sorted(p.name for p in ckpt.iterdir()) == ["manifest.json", "params.mmst"]
+        cfg, back, manifest = md.load_checkpoint(ckpt)
+        assert cfg == TINY
+        assert manifest["train_step"] == 17
+        assert manifest["validation_loss"] == 0.25
+        assert "tensors" not in manifest
+        assert list(back) == list(params)
+        for name, p in params.items():
+            assert back[name].dtype == dtype
+            assert np.array_equal(back[name].data, p.data)
+
+
+def test_interrupted_save_leaves_no_loadable_checkpoint(tmp_path, monkeypatch):
+    md.save_checkpoint(tmp_path / "ckpt", TINY, md.init_params(TINY, np.random.default_rng(0)))
+
+    def crash(path, tensor):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(nm, "save_tensor", crash)
+    with pytest.raises(OSError, match="disk full"):
+        md.save_checkpoint(tmp_path / "ckpt", TINY, md.init_params(TINY, np.random.default_rng(1)))
+    with pytest.raises(FileNotFoundError, match="manifest.json"):
+        md.load_checkpoint(tmp_path / "ckpt")

@@ -88,6 +88,14 @@ class TestInterpolateGrid:
             rz.interpolate_grid(xy, np.ones(3), unit_grid())
 
 
+def downsample(x, factor=4):
+    """Non-overlapping `factor` x `factor` block mean of a square raster. Each
+    block is reduced as one contiguous row-major vector, so the result is
+    bit-identical to block.mean() of the same cells."""
+    m = x.shape[0] // factor
+    return x.reshape(m, factor, m, factor).swapaxes(1, 2).reshape(m, m, factor * factor).mean(axis=-1)
+
+
 def per_date_reference(xy, values, grid):
     """Rasterization as it was done per date before the precomputed operator:
     scipy's linear interpolator on the native grid, NaN and outside-hull
@@ -99,7 +107,7 @@ def per_date_reference(xy, values, grid):
     fill = (tri.find_simplex(targets) < 0) | np.isnan(out)
     out[fill] = values[cKDTree(xy).query(targets[fill])[1]]
     n = grid.native_size
-    return rz.downsample(out.reshape(n, n), grid.block)
+    return downsample(out.reshape(n, n), grid.block)
 
 
 class TestGridInterpolator:
@@ -135,34 +143,34 @@ class TestGridInterpolator:
         with pytest.raises(RasterizeError, match="expected 40"):
             rz.GridInterpolator(xy, unit_grid())(values[:-1])
 
+    def test_indivisible_block(self):
+        with pytest.raises(RasterizeError, match="divisible"):
+            unit_grid(native=30, working=8)
+
 
 # ---------------------------------------------------------------------------
-# downsample / smooth / encode / zscore
+# reference block mean / smooth / encode / zscore
 # ---------------------------------------------------------------------------
 
 
 class TestDownsample:
     def test_constant(self):
-        assert np.allclose(rz.downsample(np.full((8, 8), 3.0)), 3.0)
+        assert np.allclose(downsample(np.full((8, 8), 3.0)), 3.0)
 
     def test_single_block_mean(self):
         x = np.zeros((8, 8))
         x[4:8, 0:4] = np.arange(1, 17).reshape(4, 4)
-        out = rz.downsample(x)
+        out = downsample(x)
         assert out[1, 0] == 8.5
         assert out[0, 0] == 0.0
 
     def test_matches_loop_oracle_exactly(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(16, 16))
-        out = rz.downsample(x)
+        out = downsample(x)
         for i in range(4):
             for j in range(4):
                 assert out[i, j] == x[4 * i:4 * i + 4, 4 * j:4 * j + 4].mean()
-
-    def test_indivisible_extent(self):
-        with pytest.raises(RasterizeError, match="divisible"):
-            rz.downsample(np.zeros((6, 6)))
 
 
 class TestSmoothSeries:
@@ -277,7 +285,7 @@ class TestBuildCube:
 
         xy = np.array([[p.easting, p.northing] for p in pts])
         rasters = np.stack([
-            rz.downsample(rz.interpolate_grid(xy, np.array([p.series[t] for p in pts]), grid), 4)
+            downsample(rz.interpolate_grid(xy, np.array([p.series[t] for p in pts]), grid), 4)
             for t in range(8)
         ])
         want = rz.smooth_series(rasters)
@@ -298,7 +306,7 @@ class TestBuildCube:
         rng = np.random.default_rng(11)
         pts = scatter_points(rng, 25, cal, lambda x, y, t: np.sin(0.3 * t + x) + y)
         cube = rz.build_cube(pts, cal, unit_grid(), split=rz.plan_split(24, 3, 3, 0.2))
-        assert cube.fit_range == (0, 15)
+        assert cube.split.fit_stop == 15
         for c in range(4):
             if cube.norm_stats.constant[c]:
                 continue
@@ -383,4 +391,4 @@ def test_cube_save_load_round_trip(tmp_path):
     assert back.calendar.dates == cal.dates
     assert back.grid == cube.grid
     assert back.split == cube.split
-    assert back.fit_range == (0, 7)
+    assert back.split.fit_stop == 7
