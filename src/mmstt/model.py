@@ -177,7 +177,12 @@ def tokenize(x: Tensor, params, config: ModelConfig) -> Tensor:
 
 
 def multi_head_attention(z: Tensor, params, prefix: str, config: ModelConfig, attn_sink=None) -> Tensor:
-    """Joint self-attention over the full token sequence, no masking."""
+    """Joint self-attention over the full token sequence, no masking.
+
+    The scores, softmax and weighted sum are one `nm.attention` node that
+    recomputes the (N, N) probabilities per group of (batch, head) slots in
+    backward instead of keeping them, bit-identical to the composed chain.
+    `attn_sink`, when given, receives each layer's full (B, h, N, N) P."""
     b, n, d = z.shape
     h = config.n_heads
     dh = d // h
@@ -188,11 +193,7 @@ def multi_head_attention(z: Tensor, params, prefix: str, config: ModelConfig, at
         return nm.transpose(nm.reshape(y, (b, n, h, dh)), (0, 2, 1, 3))  # (B, h, N, dh)
 
     q, k, v = heads("q"), heads("k"), heads("v")
-    scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    attn = nm.softmax_last_axis(scores)                    # (B, h, N, N)
-    if attn_sink is not None:
-        attn_sink.append(np.asarray(attn.data))
-    ctx = nm.matmul(attn, v)                               # (B, h, N, dh)
+    ctx = nm.attention(q, k, v, 1.0 / math.sqrt(dh), sink=attn_sink)   # (B, h, N, dh)
     ctx = nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
     return nm.broadcast_add(nm.matmul(ctx, params[prefix + "attn.wo"]), params[prefix + "attn.bo"])
 
@@ -266,11 +267,15 @@ def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
     """Write `params.mmst`, every parameter flattened in `param_shapes` order,
     then `manifest.json`. The old manifest goes first, so a save that stops
     part-way leaves a directory `load_checkpoint` refuses, never one that
-    loads a mix of old and new weights."""
+    loads a mix of old and new weights. Any other `*.mmst` file (an old
+    per-parameter layout) is deleted as well."""
     _check_params(params, config)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "manifest.json").unlink(missing_ok=True)
+    for stale in directory.glob("*.mmst"):
+        if stale.name != "params.mmst":
+            stale.unlink()
     flat = np.concatenate([params[name].data.ravel() for name in param_shapes(config)])
     nm.save_tensor(directory / "params.mmst", Tensor._wrap(flat))
     manifest = {

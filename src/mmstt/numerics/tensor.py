@@ -302,6 +302,82 @@ def softmax_last_axis(x: Tensor) -> Tensor:
     return _record(out, (x,), backward)
 
 
+# Largest score block `attention` holds at once, in bytes (one slot may exceed it).
+_ATTN_GROUP_BYTES = 512 * 1024
+
+
+def _slot_groups(b: int, h: int, n: int, itemsize: int) -> list[tuple[slice, slice]]:
+    """(batch, head) index pairs that cover every slot of a (b, h, n, n) score
+    array in groups of at most `_ATTN_GROUP_BYTES`. A group is whole batches
+    or a run of heads within one batch, so its views of q, k and v are not
+    copied."""
+    slot = n * n * itemsize
+    heads = max(1, min(h, _ATTN_GROUP_BYTES // slot))
+    if heads < h:
+        return [(slice(i, i + 1), slice(j, min(j + heads, h)))
+                for i in range(b) for j in range(0, h, heads)]
+    batches = max(1, _ATTN_GROUP_BYTES // (h * slot))
+    return [(slice(i, min(i + batches, b)), slice(None)) for i in range(0, b, batches)]
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, sink: list | None = None) -> Tensor:
+    """`softmax(q @ kᵀ * scale) @ v` over (B, h, N, dh) slots, as one tape node.
+
+    The probabilities P are computed per group of (batch, head) slots and
+    recomputed in backward, so only the output is kept. Every element goes
+    through the same ops in the same order as the composed `matmul`,
+    `transpose`, `scale`, `softmax_last_axis` and `matmul` chain, so values
+    and gradients are bit-identical to it. When `sink` is a list, the full
+    (B, h, N, N) P is appended to it.
+    """
+    if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention: q, k, v must share one (B, h, N, dh) shape, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    _check_same_dtype("attention", q, k, v)
+    qd, kd, vd = q.data, k.data, v.data
+    b, h, n, dh = q.shape
+    s = q.dtype.type(scale)
+    groups = _slot_groups(b, h, n, q.dtype.itemsize)
+
+    def probs(ix):
+        p = qd[ix] @ np.swapaxes(kd[ix], -1, -2)
+        p *= s
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return p
+
+    out = np.empty(q.shape, dtype=q.dtype)
+    p_all = None if sink is None else np.empty((b, h, n, n), dtype=q.dtype)
+    for ix in groups:
+        p = probs(ix)
+        np.matmul(p, vd[ix], out=out[ix])
+        if p_all is not None:
+            p_all[ix] = p
+    if sink is not None:
+        sink.append(p_all)
+
+    def backward(g):
+        dq = np.empty(q.shape, dtype=g.dtype)
+        # dk is handed on as a view of (B, h, dh, N), the layout the chain's
+        # kᵀ gradient had: sums over it downstream (the bias gradient) follow
+        # memory order, so another layout changes their rounding
+        dk_t = np.empty((b, h, dh, n), dtype=g.dtype)
+        dv = np.empty(q.shape, dtype=g.dtype)
+        for ix in groups:
+            p = probs(ix)
+            np.matmul(np.swapaxes(p, -1, -2), g[ix], out=dv[ix])
+            ds = g[ix] @ np.swapaxes(vd[ix], -1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= s
+            np.matmul(ds, kd[ix], out=dq[ix])
+            np.matmul(np.swapaxes(qd[ix], -1, -2), ds, out=dk_t[ix])
+        return dq, np.swapaxes(dk_t, -1, -2), dv
+
+    return _record(Tensor._wrap(out), (q, k, v), backward)
+
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 

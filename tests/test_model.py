@@ -289,6 +289,18 @@ def test_checkpoint_round_trip(tmp_path):
             assert np.array_equal(back[name].data, p.data)
 
 
+def test_save_over_old_per_parameter_layout_leaves_two_files(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    params = md.init_params(TINY, np.random.default_rng(0))
+    ckpt.mkdir()
+    for name, p in params.items():
+        nm.save_tensor(ckpt / f"{name}.mmst", p)
+    (ckpt / "manifest.json").write_text('{"config": {}, "tensors": {}}\n', encoding="utf-8")
+    md.save_checkpoint(ckpt, TINY, params)
+    assert sorted(p.name for p in ckpt.iterdir()) == ["manifest.json", "params.mmst"]
+    assert list(md.load_checkpoint(ckpt)[1]) == list(params)
+
+
 def test_interrupted_save_leaves_no_loadable_checkpoint(tmp_path, monkeypatch):
     md.save_checkpoint(tmp_path / "ckpt", TINY, md.init_params(TINY, np.random.default_rng(0)))
 

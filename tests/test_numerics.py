@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,64 @@ def test_gelu_matches_erf_formula():
 
 
 # ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+
+def _split_heads(x, bias, h):
+    # the model's head split: bias add, (B, N, D) -> (B, h, N, D/h) view
+    b, n, d = x.shape
+    y = nm.broadcast_add(x, bias)
+    return nm.transpose(nm.reshape(y, (b, n, h, d // h)), (0, 2, 1, 3))
+
+
+# (2, 2, 16, 8) is one group; (3, 4, 160, 8) is one batch per group; (2, 4, 200, 8)
+# and (1, 2, 300, 8) split each batch's heads into runs of 3 + 1 and 1 + 1
+@pytest.mark.parametrize("shape", [(2, 2, 16, 8), (3, 4, 160, 8), (2, 4, 200, 8), (1, 2, 300, 8)])
+def test_attention_is_byte_equal_to_the_composed_chain(shape):
+    b, h, n, dh = shape
+    scale = 1.0 / np.sqrt(dh)   # inexact in float32 for dh = 8
+    rng = np.random.default_rng(n)
+
+    def leaf(*s):
+        return Tensor(rng.normal(size=s), dtype=np.float32)
+
+    xs = [leaf(b, n, h * dh) for _ in range(3)]
+    biases = [leaf(h * dh) for _ in range(3)]
+    weight = leaf(b, h, n, dh)
+    runs = []
+    for fused in (False, True):
+        sink = []
+        with GradTape() as tape:
+            q, k, v = (_split_heads(x, bias, h) for x, bias in zip(xs, biases))
+            if fused:
+                out = nm.attention(q, k, v, scale, sink=sink)
+            else:
+                p = nm.softmax_last_axis(nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), scale))
+                sink.append(p.data)
+                out = nm.matmul(p, v)
+            loss = nm.mean_all(nm.mul(out, weight))
+        grads = tape.gradients(loss, xs + biases)
+        runs.append([out.data, *sink] + grads)
+    for old, new in zip(*runs):
+        assert old.dtype == new.dtype == np.float32
+        assert old.shape == new.shape
+        assert old.tobytes() == new.tobytes()
+
+
+def test_attention_without_sink_matches_and_rejects_bad_shapes():
+    rng = np.random.default_rng(3)
+    q, k, v = (Tensor(rng.normal(size=(1, 2, 5, 4)), dtype=np.float32) for _ in range(3))
+    sink = []
+    assert np.array_equal(nm.attention(q, k, v, 0.5).data, nm.attention(q, k, v, 0.5, sink=sink).data)
+    assert sink[0].shape == (1, 2, 5, 5)
+    with pytest.raises(ShapeError, match="attention"):
+        nm.attention(q, k, Tensor(np.zeros((1, 2, 5, 3)), dtype=np.float32), 0.5)
+    with pytest.raises(ShapeError, match="dtype"):
+        nm.attention(q, k, Tensor(np.zeros((1, 2, 5, 4))), 0.5)
+
+
+# ---------------------------------------------------------------------------
 # shape ops, reductions, conv1x1
 # ---------------------------------------------------------------------------
 
@@ -224,6 +285,12 @@ OP_CASES = {
     ),
     "mean_all": (1, [((5,),), ((3, 4),), ((2, 3, 2),)], lambda ps: nm.mean_all(ps[0])),
     "scale": (1, [((4,),), ((2, 3),), ((2, 2, 2),)], lambda ps: nm.scale(ps[0], 1.7)),
+    # (2, 2, 200, 4) in float64 is four groups of one slot
+    "attention": (
+        3,
+        [((1, 1, 3, 4),) * 3, ((2, 3, 5, 2),) * 3, ((2, 2, 200, 4),) * 3],
+        lambda ps: nm.attention(ps[0], ps[1], ps[2], 0.7),
+    ),
     "conv1x1": (
         3,
         [((2, 3, 4, 4), (3, 2), (2,)), ((1, 6, 2, 2), (6, 1), (1,)), ((2, 2, 4, 2, 3), (4, 3), (3,))],
@@ -294,6 +361,17 @@ def test_grad_check_errors_on_nonfinite_loss():
 
     with pytest.raises(FloatingPointError):
         nm.grad_check(f, [w])
+
+
+def test_traced_bench_ops_resolve_in_numerics():
+    # perfbench/spans.py wraps each of these by name; a missing one breaks `--trace 1`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from mmstt.numerics import tensor
+
+    assert [op for op in spans.NUMERIC_OPS if not callable(getattr(tensor, op, None))] == []
 
 
 def test_unused_param_gets_zero_gradient_of_same_shape():
