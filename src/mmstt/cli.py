@@ -69,8 +69,6 @@ def _load_cube_windows(cube_path, t_in: int, t_out: int):
 def _cube_split(cube, model_cfg, val_fraction) -> rasterize.SplitPlan:
     """The split fixed at preprocess; a request may only restate it."""
     split = cube.split
-    if split is None:
-        raise ValidationFailure("cube has no train/validation split; rerun preprocess")
     if (split.t_in, split.t_out) != (model_cfg.t_in, model_cfg.t_out):
         raise ValidationFailure(
             f"cube split was planned for t_in={split.t_in}, t_out={split.t_out}; "
@@ -219,7 +217,7 @@ def cmd_eval(args) -> int:
         if args.windows == "val":
             _, windows = rasterize.split_windows(windows, plan)
     report = ev.evaluate(
-        params, model_cfg, windows, cube.norm_stats,
+        ev.predict_windows(params, model_cfg, windows), windows, cube.norm_stats,
         node_pixels=_parse_nodes(args.nodes, cube.values.shape[-1]) if args.nodes else None,
         n_bins=args.bins,
         event_time_index=args.event_time,

@@ -71,7 +71,7 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(da @ db) / denom
 
 
-def ssim(a: np.ndarray, b: np.ndarray, data_range: float | None = None) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Structural similarity with uniform 8x8 sliding windows (stride 1).
 
     `b` is the reference map; the stabilizing constants use C1=(0.01*R)^2 and
@@ -82,7 +82,7 @@ def ssim(a: np.ndarray, b: np.ndarray, data_range: float | None = None) -> float
         raise EvalError(f"ssim: shapes differ: {a.shape} vs {b.shape}")
     a = a.astype(np.float64)
     b = b.astype(np.float64)
-    r = float(b.max() - b.min()) if data_range is None else float(data_range)
+    r = float(b.max() - b.min())
     if r == 0.0:
         return 1.0 if np.array_equal(a, b) else float("nan")
     win = min(SSIM_WINDOW, *a.shape)
@@ -204,26 +204,22 @@ def predict_windows(params, config: ModelConfig, windows: list[SampleWindow],
 
 
 def evaluate(
-    params,
-    config: ModelConfig,
+    predictions: np.ndarray,
     windows: list[SampleWindow],
     norm_stats: NormStats,
     node_pixels: list[tuple[int, int]] | None = None,
     n_bins: int = 10,
     event_time_index: int | None = None,
-    predictions: np.ndarray | None = None,
 ) -> ForecastReport:
-    """Score `params` on evaluation windows, in millimeters.
+    """Score normalized forecasts (n_windows, T_out, 1, H, W), such as
+    `predict_windows` returns, against the windows' targets, in millimeters.
 
     `event_time_index` marks windows whose target range contains a known
     abrupt event (the event is unforecastable from their inputs); they are
-    listed in `report.flags`. Pass `predictions` to score precomputed
-    normalized forecasts instead of running the model.
+    listed in `report.flags`.
     """
     if not windows:
         raise EvalError("no evaluation windows")
-    if predictions is None:
-        predictions = predict_windows(params, config, windows)
     t_out = windows[0].target.shape[0]
     y_hat = norm_stats.denormalize(predictions[:, :, 0], 0)          # (n, T_out, H, W)
     y = norm_stats.denormalize(np.stack([w.target for w in windows])[:, :, 0], 0)

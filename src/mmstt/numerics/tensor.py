@@ -5,7 +5,6 @@ shapes up front, and records its backward rule on the active GradTape."""
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 from scipy.special import erf
@@ -22,8 +21,8 @@ class Tensor:
     """Immutable dense array value.
 
     `data` is a row-major numpy array in float32 (training mode) or float64
-    (gradient-check mode). Tensors are never mutated after construction, so
-    sharing them across threads is safe; updates produce new Tensors.
+    (gradient-check mode). Tensors are never mutated after construction;
+    updates produce new Tensors.
     """
 
     __slots__ = ("data",)
@@ -76,32 +75,34 @@ class Tensor:
 # Gradient tape
 # ---------------------------------------------------------------------------
 
-_TLS = threading.local()
+_active: "GradTape | None" = None
 
 
 def active_tape() -> "GradTape | None":
-    return getattr(_TLS, "tape", None)
+    return _active
 
 
 class GradTape:
     """Ordered record of primitive applications for reverse-mode gradients.
 
     Use as a context manager around the forward computation, then call
-    `gradients(loss, params)`. One tape per training step; a tape is
-    single-threaded while the ops themselves stay pure.
+    `gradients(loss, params)`. One tape per training step, and at most one
+    active at a time.
     """
 
     def __init__(self):
         self._ops: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
 
     def __enter__(self) -> "GradTape":
-        if active_tape() is not None:
-            raise RuntimeError("a GradTape is already active in this thread")
-        _TLS.tape = self
+        global _active
+        if _active is not None:
+            raise RuntimeError("a GradTape is already active")
+        _active = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TLS.tape = None
+        global _active
+        _active = None
         return False
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
@@ -132,9 +133,8 @@ class GradTape:
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
-    tape = active_tape()
-    if tape is not None:
-        tape.record(out, inputs, backward)
+    if _active is not None:
+        _active.record(out, inputs, backward)
     return out
 
 

@@ -99,14 +99,13 @@ class SplitPlan:
 class DataCube:
     """(T, 6, H, W) tensor with channels
     [displacement, mean_velocity, acceleration, seasonality, f_sin, f_cos].
-    `split` is the train/validation split the statistics were fitted for;
-    None means they were fitted on the whole time axis."""
+    `split` is the train/validation split the statistics were fitted for."""
 
     values: np.ndarray
     norm_stats: NormStats
     calendar: AcquisitionCalendar
     grid: GridSpec
-    split: SplitPlan | None
+    split: SplitPlan
 
     @property
     def n_times(self) -> int:
@@ -204,16 +203,16 @@ def encode_day(d: float) -> tuple[float, float]:
     return math.sin(angle), math.cos(angle)
 
 
-def zscore_fit_apply(cube: np.ndarray, fit_range: range) -> tuple[np.ndarray, NormStats]:
+def zscore_fit_apply(cube: np.ndarray, fit_stop: int) -> tuple[np.ndarray, NormStats]:
     """Standardize channels 0-3 in place-free fashion using statistics computed
-    only over `fit_range` time indices. Constant channels are centered and
+    only over time indices below `fit_stop`. Constant channels are centered and
     flagged, with std recorded as 1."""
-    if len(fit_range) == 0:
+    if fit_stop < 1:
         raise RasterizeError("empty fit range")
     out = cube.copy()
     stats = NormStats(mean=[], std=[], constant=[])
     for c in range(4):
-        region = cube[fit_range.start:fit_range.stop:fit_range.step, c]
+        region = cube[:fit_stop, c]
         mean = float(region.mean())
         std = float(region.std())
         # tolerance absorbs interpolation round-off on truly constant fields
@@ -242,12 +241,12 @@ def build_cube(
     points: list[MeasurementPoint],
     calendar: AcquisitionCalendar,
     grid: GridSpec,
-    split: SplitPlan | None = None,
+    split: SplitPlan,
 ) -> DataCube:
     """Rasterize points into the normalized 6-channel cube.
 
     The statistics are fitted on the split's training range, which keeps
-    validation data out of them; with no split, on the full time axis.
+    validation data out of them.
     """
     if not points:
         raise RasterizeError("no measurement points")
@@ -255,7 +254,7 @@ def build_cube(
     for p in points:
         if len(p.series) != t:
             raise RasterizeError(f"point {p.point_id}: series length != calendar length")
-    if split is not None and split.val_starts[-1] + split.t_in + split.t_out != t:
+    if split.val_starts[-1] + split.t_in + split.t_out != t:
         raise RasterizeError(f"split was not planned for a cube of {t} time steps")
 
     interp = GridInterpolator(np.array([[p.easting, p.northing] for p in points]), grid)
@@ -272,7 +271,7 @@ def build_cube(
         cube[ti, 4] = f_sin
         cube[ti, 5] = f_cos
 
-    normalized, stats = zscore_fit_apply(cube, range(t if split is None else split.fit_stop))
+    normalized, stats = zscore_fit_apply(cube, split.fit_stop)
     return DataCube(values=normalized, norm_stats=stats, calendar=calendar, grid=grid, split=split)
 
 
@@ -350,10 +349,8 @@ def save_cube(path, cube: DataCube) -> None:
         "bbox": list(cube.grid.bbox),
         "native_size": cube.grid.native_size,
         "working_size": cube.grid.working_size,
-        "split": None if cube.split is None else {
-            "t_in": cube.split.t_in, "t_out": cube.split.t_out,
-            "val_fraction": cube.split.val_fraction,
-        },
+        "split": {"t_in": cube.split.t_in, "t_out": cube.split.t_out,
+                  "val_fraction": cube.split.val_fraction},
     }
     with open(f"{path}.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -377,8 +374,10 @@ def load_cube(path) -> DataCube:
             working_size=sidecar["working_size"],
         )
         split = sidecar["split"]
-        if split is not None:
-            split = plan_split(len(values), split["t_in"], split["t_out"], split["val_fraction"])
+        if not split:
+            raise RasterizeError(
+                f"cube sidecar {path}.json has no train/validation split; rerun preprocess")
+        split = plan_split(len(values), split["t_in"], split["t_out"], split["val_fraction"])
     except KeyError as exc:
         raise RasterizeError(f"cube sidecar {path}.json lacks the key {exc}") from None
     except TypeError as exc:

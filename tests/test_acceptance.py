@@ -198,7 +198,7 @@ def test_criterion_5_overfit_one_window():
                             period=10.0, noise_std=0.1, seed=4)
     points, cal = synth.generate(spec)
     grid = rz.GridSpec(bbox=rz.bbox_of_points(points), native_size=32, working_size=8)
-    cube = rz.build_cube(points, cal, grid)
+    cube = rz.build_cube(points, cal, grid, split=rz.plan_split(20, 2, 2, 0.2))
     window = rz.make_windows(cube, t_in=2, t_out=2)[0]
     cfg = md.ModelConfig(t_in=2, t_out=2, c_in=6, grid_size=8, patch_size=4,
                          embed_dim=8, n_layers=1, n_heads=2, ffn_hidden=32)
@@ -242,7 +242,7 @@ def test_criterion_6_periodic_regime():
     tcfg = tr.TrainConfig(learning_rate=1e-4, weight_decay=1e-5, patience=30,
                           max_epochs=600, batch_size=4, seed=0)
     res = tr.fit(mcfg, tcfg, train_w, val_w)
-    report = ev.evaluate(res.params, mcfg, val_w, cube.norm_stats)
+    report = ev.evaluate(ev.predict_windows(res.params, mcfg, val_w), val_w, cube.norm_stats)
     h10 = report.horizon(10)
     elapsed = time.time() - t0
     criterion(
@@ -303,7 +303,8 @@ def test_criterion_7_coseismic_regime():
     y = cube.norm_stats.denormalize(np.stack([w.target for w in group_a])[:, :, 0], 0)
     r2_a = ev.r2(y_hat, y)
 
-    report_b = ev.evaluate(res.params, mcfg, group_b, cube.norm_stats, event_time_index=100)
+    report_b = ev.evaluate(ev.predict_windows(res.params, mcfg, group_b), group_b,
+                           cube.norm_stats, event_time_index=100)
     finite_b = all(np.isfinite([h.rmse, h.mae]).all() for h in report_b.horizons)
     flagged_b = len(report_b.flags) == len(group_b)
     elapsed = time.time() - t0

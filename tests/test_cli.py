@@ -225,6 +225,7 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "checkpoint without a manifest (an interrupted save)": "checkpoint manifest not found",
         "truncated checkpoint tensor": "params.mmst",
         "cube without a sidecar": "cube sidecar not found",
+        "cube with no split": "no train/validation split",
         "eval --windows all with a val_fraction the cube was not split with": "val_fraction",
     }
     capsys.readouterr()

@@ -157,14 +157,14 @@ class TestEvaluate:
         windows, truth, stats = build_windows(3)
         # copy the input's last displacement frame forward
         preds = np.stack([np.repeat(w.input[-1:, 0:1], truth.shape[1], axis=0) for w in windows])
-        report = ev.evaluate(None, None, windows, stats, predictions=preds)
+        report = ev.evaluate(preds, windows, stats)
         for h in report.horizons:
             assert math.isfinite(h.rmse) and math.isfinite(h.mae)
             assert h.r2 < 1.0
 
     def test_oracle_perfect_predictor(self):
         windows, truth, stats = build_windows(4)
-        report = ev.evaluate(None, None, windows, stats, predictions=truth.copy())
+        report = ev.evaluate(truth.copy(), windows, stats)
         for h in report.horizons:
             assert h.rmse < 1e-6
             assert h.ssim == pytest.approx(1.0, abs=1e-9)
@@ -173,7 +173,7 @@ class TestEvaluate:
     def test_rmse_ge_mae_property(self):
         windows, truth, stats = build_windows(5, seed=3)
         preds = truth + np.random.default_rng(4).normal(size=truth.shape)
-        report = ev.evaluate(None, None, windows, stats, predictions=preds)
+        report = ev.evaluate(preds, windows, stats)
         for h in report.horizons:
             assert h.rmse >= h.mae >= 0.0
 
@@ -182,7 +182,7 @@ class TestEvaluate:
         # denormalized-space RMSE
         windows, truth, stats = build_windows(3, seed=5)
         preds = truth + np.random.default_rng(6).normal(size=truth.shape)
-        report = ev.evaluate(None, None, windows, stats, predictions=preds)
+        report = ev.evaluate(preds, windows, stats)
         k = 0
         norm_rmse = ev.rmse(preds[:, k, 0], truth[:, k, 0])
         assert abs(report.horizons[k].rmse - norm_rmse * stats.std[0]) < 1e-6
@@ -190,15 +190,13 @@ class TestEvaluate:
     def test_event_in_target_window_flagged(self):
         windows, truth, stats = build_windows(3)
         # inputs span t=[start, start+4); targets [start+4, start+8)
-        report = ev.evaluate(None, None, windows, stats, predictions=truth.copy(),
-                             event_time_index=5)
+        report = ev.evaluate(truth.copy(), windows, stats, event_time_index=5)
         assert len(report.flags) == 2  # windows starting at 0 and 1
         assert "not forecastable" in report.flags[0]
 
     def test_node_series(self):
         windows, truth, stats = build_windows(2)
-        report = ev.evaluate(None, None, windows, stats, predictions=truth.copy(),
-                             node_pixels=[(0, 0), (3, 7)])
+        report = ev.evaluate(truth.copy(), windows, stats, node_pixels=[(0, 0), (3, 7)])
         assert [n.node_id for n in report.nodes] == [0, 3 * 16 + 7]
         n = report.nodes[1]
         want = stats.denormalize(truth[1, :, 0, 3, 7], 0)
@@ -209,8 +207,7 @@ class TestEvaluate:
 def test_report_writers(tmp_path):
     windows, truth, stats = build_windows(2, t_out=10)
     preds = truth + 0.1 * np.random.default_rng(7).normal(size=truth.shape)
-    report = ev.evaluate(None, None, windows, stats, predictions=preds,
-                         node_pixels=[(1, 1)])
+    report = ev.evaluate(preds, windows, stats, node_pixels=[(1, 1)])
     ev.write_report_json(tmp_path / "report.json", report)
     ev.write_summary_csv(tmp_path / "summary.csv", report)
     ev.write_nodes_csv(tmp_path / "nodes.csv", report)

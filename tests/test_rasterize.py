@@ -215,7 +215,7 @@ class TestZScore:
         cube = rng.normal(size=(20, 6, 4, 4))
         z = (cube[:, 0] - cube[:, 0].mean()) / cube[:, 0].std()
         cube[:, 0] = z
-        out, stats = rz.zscore_fit_apply(cube, range(20))
+        out, stats = rz.zscore_fit_apply(cube, 20)
         assert abs(stats.mean[0]) < 1e-12
         assert abs(stats.std[0] - 1.0) < 1e-12
         assert np.allclose(out[:, 0], z)
@@ -223,7 +223,7 @@ class TestZScore:
     def test_constant_channel_flagged(self):
         cube = np.zeros((5, 6, 2, 2))
         cube[:, 1] = 7.0
-        out, stats = rz.zscore_fit_apply(cube, range(5))
+        out, stats = rz.zscore_fit_apply(cube, 5)
         assert stats.constant[1]
         assert stats.std[1] == 1.0
         assert np.allclose(out[:, 1], 0.0)
@@ -231,21 +231,21 @@ class TestZScore:
     def test_round_trip(self):
         rng = np.random.default_rng(2)
         cube = rng.normal(loc=5.0, scale=3.0, size=(10, 6, 3, 3))
-        out, stats = rz.zscore_fit_apply(cube, range(10))
+        out, stats = rz.zscore_fit_apply(cube, 10)
         back = stats.denormalize(out[:, 0], 0)
         assert np.allclose(back, cube[:, 0], atol=1e-6)
 
     def test_fit_range_only(self):
         cube = np.zeros((10, 6, 1, 1))
         cube[:, 0, 0, 0] = np.arange(10.0)
-        out, stats = rz.zscore_fit_apply(cube, range(5))
+        out, stats = rz.zscore_fit_apply(cube, 5)
         region = np.arange(5.0)
         assert stats.mean[0] == region.mean()
         assert stats.std[0] == region.std()
 
     def test_empty_fit_range(self):
         with pytest.raises(RasterizeError, match="empty"):
-            rz.zscore_fit_apply(np.zeros((5, 6, 2, 2)), range(0))
+            rz.zscore_fit_apply(np.zeros((5, 6, 2, 2)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ class TestBuildCube:
         cal = weekly_calendar(6)
         rng = np.random.default_rng(0)
         pts = scatter_points(rng, 12, cal, lambda x, y, t: 4.2)
-        cube = rz.build_cube(pts, cal, unit_grid())
+        cube = rz.build_cube(pts, cal, unit_grid(), split=rz.plan_split(6, 1, 1, 0.2))
         assert cube.values.shape == (6, 6, 8, 8)
         # constant displacement -> flagged constant, centered to zeros
         assert cube.norm_stats.constant[0]
@@ -281,7 +281,8 @@ class TestBuildCube:
         rng = np.random.default_rng(5)
         pts = scatter_points(rng, 30, cal, lambda x, y, t: (t + 1) * x - 2.0 * y * t)
         grid = unit_grid(native=16, working=4)
-        cube = rz.build_cube(pts, cal, grid)
+        cube = rz.build_cube(pts, cal, grid, split=rz.plan_split(8, 2, 2, 0.2))
+        fit = cube.split.fit_stop
 
         xy = np.array([[p.easting, p.northing] for p in pts])
         rasters = np.stack([
@@ -289,14 +290,14 @@ class TestBuildCube:
             for t in range(8)
         ])
         want = rz.smooth_series(rasters)
-        want = (want - want.mean()) / want.std()
+        want = (want - want[:fit].mean()) / want[:fit].std()
         assert np.allclose(cube.values[:, 0], want, atol=1e-9)
 
     def test_time_count_and_static_channels(self):
         cal = weekly_calendar(30)
         rng = np.random.default_rng(7)
         pts = scatter_points(rng, 20, cal, lambda x, y, t: np.sin(t) * x)
-        cube = rz.build_cube(pts, cal, unit_grid())
+        cube = rz.build_cube(pts, cal, unit_grid(), split=rz.plan_split(30, 3, 3, 0.2))
         assert cube.n_times == 30
         for c in (1, 2, 3):
             assert np.allclose(cube.values[:, c], cube.values[0:1, c])
@@ -324,7 +325,8 @@ def tiny_cube(n_times, h=4):
     rng = np.random.default_rng(n_times)
     values = rng.normal(size=(n_times, 6, h, h))
     stats = rz.NormStats(mean=[0.0] * 4, std=[1.0] * 4, constant=[False] * 4)
-    return DataCube(values, stats, weekly_calendar(n_times), unit_grid(16, h), split=None)
+    split = rz.plan_split(n_times, 1, 1, 0.2)
+    return DataCube(values, stats, weekly_calendar(n_times), unit_grid(16, h), split)
 
 
 class TestWindows:
