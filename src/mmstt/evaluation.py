@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import uniform_filter
 
 from .model import ModelConfig, forward
 from .numerics import Tensor
@@ -71,34 +71,50 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(da @ db) / denom
 
 
-def ssim(a: np.ndarray, b: np.ndarray) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Structural similarity with uniform 8x8 sliding windows (stride 1).
 
-    `b` is the reference map; the stabilizing constants use C1=(0.01*R)^2 and
-    C2=(0.03*R)^2 with R its dynamic range. Window statistics are population
-    moments. Maps with zero reference range score 1 when identical, else NaN.
+    Maps may be stacked on leading axes, `(..., H, W)`: a lone 2-D map scores
+    a float, a stack an array of per-map scores. `b` holds the reference maps;
+    each map's stabilizing constants use C1=(0.01*R)^2 and C2=(0.03*R)^2 with
+    R its reference's dynamic range. Window statistics are population moments,
+    from separable box means of maps centred on their own mean. A map with
+    zero reference range scores 1 when identical, else NaN. The window
+    shrinks to fit maps smaller than 8 px.
     """
     if a.shape != b.shape:
         raise EvalError(f"ssim: shapes differ: {a.shape} vs {b.shape}")
+    if a.ndim < 2:
+        raise EvalError(f"ssim: need (..., H, W) maps, got shape {a.shape}")
     a = a.astype(np.float64)
     b = b.astype(np.float64)
-    r = float(b.max() - b.min())
-    if r == 0.0:
-        return 1.0 if np.array_equal(a, b) else float("nan")
-    win = min(SSIM_WINDOW, *a.shape)
-    aw = sliding_window_view(a, (win, win)).reshape(-1, win * win)
-    bw = sliding_window_view(b, (win, win)).reshape(-1, win * win)
-    mu_a = aw.mean(axis=1)
-    mu_b = bw.mean(axis=1)
-    var_a = aw.var(axis=1)
-    var_b = bw.var(axis=1)
-    cov = (aw * bw).mean(axis=1) - mu_a * mu_b
+    maps = (-2, -1)
+    r = b.max(axis=maps) - b.min(axis=maps)
+    flat = r == 0.0
+    win = min(SSIM_WINDOW, *a.shape[-2:])
+    mean_a = a.mean(axis=maps, keepdims=True)
+    mean_b = b.mean(axis=maps, keepdims=True)
+    da, db = a - mean_a, b - mean_b
+    moments = uniform_filter(np.stack([da, db, da * da, db * db, da * db]),
+                             size=win, axes=maps, mode="constant")
+    lo = win // 2  # first output pixel whose window lies inside the map
+    h, w = a.shape[-2:]
+    mu_da, mu_db, e_aa, e_bb, e_ab = moments[..., lo:lo + h - win + 1, lo:lo + w - win + 1]
+    var_a = e_aa - mu_da**2
+    var_b = e_bb - mu_db**2
+    cov = e_ab - mu_da * mu_db
+    mu_a = mu_da + mean_a
+    mu_b = mu_db + mean_b
+    r = np.where(flat, 1.0, r)[..., None, None]  # flat maps are scored below
     c1 = (0.01 * r) ** 2
     c2 = (0.03 * r) ** 2
     score = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
         (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     )
-    return float(score.mean())
+    score = score.mean(axis=maps)
+    identical = np.all(a == b, axis=maps)
+    score = np.where(flat, np.where(identical, 1.0, np.nan), score)
+    return float(score) if score.ndim == 0 else score
 
 
 @dataclass
@@ -226,9 +242,9 @@ def evaluate(
 
     horizons = []
     for k in range(t_out):
-        ssims = [ssim(y_hat[i, k], y[i, k]) for i in range(len(windows))]
+        ssims = ssim(y_hat[:, k], y[:, k])
         corrs = [pearson(y_hat[i, k], y[i, k]) for i in range(len(windows))]
-        finite_ssims = [v for v in ssims if not math.isnan(v)]
+        finite_ssims = ssims[~np.isnan(ssims)]
         finite_corrs = [v for v in corrs if not math.isnan(v)]
         horizons.append(
             HorizonMetrics(
@@ -236,7 +252,7 @@ def evaluate(
                 rmse=rmse(y_hat[:, k], y[:, k]),
                 mae=mae(y_hat[:, k], y[:, k]),
                 r2=r2(y_hat[:, k], y[:, k]),
-                ssim=float(np.mean(finite_ssims)) if finite_ssims else float("nan"),
+                ssim=float(np.mean(finite_ssims)) if finite_ssims.size else float("nan"),
                 pearson=float(np.mean(finite_corrs)) if finite_corrs else float("nan"),
             )
         )

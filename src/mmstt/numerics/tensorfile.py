@@ -7,8 +7,9 @@ Semantic metadata travels in a JSON sidecar owned by the caller.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -25,31 +26,36 @@ class TensorFileError(ValueError):
 
 
 def save_tensor(path, t: Tensor) -> None:
-    arr = np.ascontiguousarray(t.data)
-    code = _DTYPE_CODES[arr.dtype]
-    header = MAGIC + struct.pack("<BBB", VERSION, code, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = arr.astype(_CODE_DTYPES[code], copy=False).tobytes(order="C")
-    Path(path).write_bytes(header + payload)
+    code = _DTYPE_CODES[t.data.dtype]
+    arr = np.ascontiguousarray(t.data, dtype=_CODE_DTYPES[code])  # no copy when already LE and C-ordered
+    header = MAGIC + struct.pack(f"<BBB{arr.ndim}I", VERSION, code, arr.ndim, *arr.shape)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(memoryview(arr))
 
 
 def load_tensor(path) -> Tensor:
-    raw = Path(path).read_bytes()
-    if len(raw) < 7 or len(raw) < 7 + 4 * raw[6]:
-        raise TensorFileError(f"{path}: {len(raw)} bytes, shorter than its header")
-    if raw[:4] != MAGIC:
-        raise TensorFileError(f"{path}: bad magic {raw[:4]!r}")
-    version, code, rank = struct.unpack_from("<BBB", raw, 4)
-    if version != VERSION:
-        raise TensorFileError(f"{path}: unsupported version {version}")
-    if code not in _CODE_DTYPES:
-        raise TensorFileError(f"{path}: unknown dtype code {code}")
-    shape = struct.unpack_from(f"<{rank}I", raw, 7)
-    offset = 7 + 4 * rank
-    dt = _CODE_DTYPES[code]
-    n = int(np.prod(shape)) if rank else 1
-    expected = offset + n * dt.itemsize
-    if len(raw) != expected:
-        raise TensorFileError(f"{path}: payload size {len(raw) - offset}, expected {n * dt.itemsize}")
-    arr = np.frombuffer(raw, dtype=dt, count=n, offset=offset).reshape(shape)
-    return Tensor._wrap(arr.astype(dt.newbyteorder("="), copy=True))
+    """Read a tensor file into one freshly allocated array, refusing any file
+    whose size disagrees with its header before allocating."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(7)
+        if len(head) < 7 or size < 7 + 4 * head[6]:
+            raise TensorFileError(f"{path}: {size} bytes, shorter than its header")
+        if head[:4] != MAGIC:
+            raise TensorFileError(f"{path}: bad magic {head[:4]!r}")
+        version, code, rank = struct.unpack_from("<BBB", head, 4)
+        if version != VERSION:
+            raise TensorFileError(f"{path}: unsupported version {version}")
+        if code not in _CODE_DTYPES:
+            raise TensorFileError(f"{path}: unknown dtype code {code}")
+        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        dt = _CODE_DTYPES[code]
+        nbytes = math.prod(shape) * dt.itemsize
+        offset = 7 + 4 * rank
+        if size - offset != nbytes:
+            raise TensorFileError(f"{path}: payload size {size - offset}, expected {nbytes}")
+        arr = np.empty(shape, dtype=dt)
+        if fh.readinto(memoryview(arr)) != nbytes:
+            raise TensorFileError(f"{path}: payload ends before {nbytes} bytes")
+    return Tensor._wrap(arr if dt.isnative else arr.astype(dt.newbyteorder("=")))

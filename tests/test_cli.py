@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -69,7 +70,7 @@ def test_pipeline_smoke_end_to_end(configs):
 
 def test_zero_epoch_training_still_produces_artifacts(configs, tmp_path):
     tmp_path, paths = configs
-    train = json.loads(open(paths["train"]).read())
+    train = json.loads(Path(paths["train"]).read_text())
     train["max_epochs"] = 0
     p = tmp_path / "train0.json"
     p.write_text(json.dumps(train))
@@ -189,6 +190,8 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
             damaged_cube("stub.mmst", cube.read_bytes()[:5], sidecar)),
         "tensor cut inside its extents": evaluate(
             damaged_cube("cut.mmst", cube.read_bytes()[:12], sidecar)),
+        "tensor whose extents overflow int64": evaluate(damaged_cube(
+            "huge.mmst", b"MMST" + struct.pack("<BBB3I", 1, 1, 3, 2**31, 2**31, 2**31), sidecar)),
         "sidecar without calendar": evaluate(
             damaged_cube("no_calendar.mmst", cube.read_bytes(), without(sidecar, "calendar"))),
         "sidecar without split": evaluate(
@@ -226,6 +229,7 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "truncated checkpoint tensor": "params.mmst",
         "cube without a sidecar": "cube sidecar not found",
         "cube with no split": "no train/validation split",
+        "tensor whose extents overflow int64": "payload size",
         "eval --windows all with a val_fraction the cube was not split with": "val_fraction",
     }
     capsys.readouterr()

@@ -109,6 +109,31 @@ class TestSSIM:
         assert ev.ssim(flat, flat) == 1.0
         assert math.isnan(ev.ssim(flat + 1.0, flat))
 
+    @pytest.mark.parametrize("size", [16, 6])
+    def test_stack_scores_each_map_as_a_lone_call(self, size):
+        # a 6x6 map shrinks the window to 6 px; the stack mixes maps with
+        # different ranges, so each map must use its own R, c1 and c2
+        rng = np.random.default_rng(12)
+        b = rng.normal(size=(2, 3, size, size)) * rng.uniform(0.1, 50.0, size=(2, 3, 1, 1))
+        a = b + rng.normal(size=b.shape)
+        b[0, 1] = 4.0
+        a[0, 1] = 4.0          # flat reference, identical forecast: 1.0
+        b[1, 2] = -2.0         # flat reference, different forecast: NaN
+        scores = ev.ssim(a, b)
+        assert scores.shape == (2, 3)
+        assert scores[0, 1] == 1.0
+        assert math.isnan(scores[1, 2])
+        for idx in np.ndindex(2, 3):
+            lone = ev.ssim(a[idx], b[idx])
+            assert isinstance(lone, float)
+            if idx == (1, 2):
+                assert math.isnan(lone)
+            else:
+                assert abs(scores[idx] - lone) < 1e-12, idx
+                if idx != (0, 1):
+                    win = min(8, size)
+                    assert abs(lone - ssim_loop_oracle(a[idx], b[idx], win)) < 1e-12, idx
+
 
 class TestBinnedErrors:
     def test_perfect_prediction(self):

@@ -1,4 +1,5 @@
 import importlib.util
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -414,3 +415,25 @@ def test_tensor_file_header(tmp_path):
     (tmp_path / "bad.mmst").write_bytes(bad)
     with pytest.raises(nm.TensorFileError, match="magic"):
         nm.load_tensor(tmp_path / "bad.mmst")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tensor_file_bytes_match_header_and_payload(tmp_path, dtype):
+    rng = np.random.default_rng(5)
+    view = rng.normal(size=(3, 4, 5)).astype(dtype)[:, ::2].T  # not C-contiguous
+    path = tmp_path / "t.mmst"
+    nm.save_tensor(path, Tensor._wrap(view))
+    code = {np.float32: 0, np.float64: 1}[dtype]
+    header = b"MMST" + struct.pack("<BBB3I", 1, code, 3, *view.shape)
+    payload = view.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+    assert path.read_bytes() == header + payload
+
+
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_tensor_file_payload_off_by_one_byte_is_refused(tmp_path, change):
+    path = tmp_path / "t.mmst"
+    nm.save_tensor(path, Tensor(np.arange(6.0).reshape(2, 3), dtype=np.float64))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-1] if change == "short" else raw + b"\0")
+    with pytest.raises(nm.TensorFileError, match="payload size"):
+        nm.load_tensor(path)
