@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import json
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import evaluation as ev
 from . import ingest, model, rasterize, synth, train
-from .numerics import Tensor, save_tensor
+from .numerics import Tensor, load_json, save_json, save_tensor
 
 
 class ValidationFailure(ValueError):
@@ -32,18 +31,6 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _load_json(path, what: str) -> dict:
-    p = _require_file(path, what)
-    try:
-        with p.open(encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationFailure(f"{what} {p} is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValidationFailure(f"{what} {p} must hold a JSON object")
-    return obj
-
-
 def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dict, outputs: dict):
     manifest = {
         "command": command,
@@ -54,21 +41,19 @@ def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dic
         "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "run_manifest.json").open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(out_dir / "run_manifest.json", manifest)
 
 
-def _load_cube_windows(cube_path, t_in: int, t_out: int):
-    _require_file(f"{cube_path}.json", "cube sidecar")
+def _cube_windows(cube_path, model_cfg, val_fraction=None):
+    """The cube and all its windows, window `s` at index `s`. The model must
+    fit the cube's grid and the split fixed at preprocess; `val_fraction` may
+    only restate the split's."""
     cube = rasterize.load_cube(_require_file(cube_path, "cube file"))
-    windows = rasterize.make_windows(cube, t_in=t_in, t_out=t_out)
-    return cube, windows
-
-
-def _cube_split(cube, model_cfg, val_fraction) -> rasterize.SplitPlan:
-    """The split fixed at preprocess; a request may only restate it."""
     split = cube.split
+    if cube.values.shape[-1] != model_cfg.grid_size:
+        raise ValidationFailure(
+            f"cube working size {cube.values.shape[-1]} != model grid size {model_cfg.grid_size}"
+        )
     if (split.t_in, split.t_out) != (model_cfg.t_in, model_cfg.t_out):
         raise ValidationFailure(
             f"cube split was planned for t_in={split.t_in}, t_out={split.t_out}; "
@@ -79,7 +64,7 @@ def _cube_split(cube, model_cfg, val_fraction) -> rasterize.SplitPlan:
             f"val_fraction {val_fraction} differs from the cube's {split.val_fraction}, "
             "which its statistics were fitted for; rerun preprocess to change the split"
         )
-    return split
+    return cube, rasterize.make_windows(cube, t_in=model_cfg.t_in, t_out=model_cfg.t_out)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +73,7 @@ def _cube_split(cube, model_cfg, val_fraction) -> rasterize.SplitPlan:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.RegimeSpec.from_json(_load_json(args.spec, "regime spec"))
+    spec = synth.RegimeSpec.from_json(load_json(args.spec, "regime spec"))
     if args.seed is not None:
         spec = synth.RegimeSpec.from_json({**spec.to_json(), "seed": args.seed})
     points, calendar = synth.generate(spec)
@@ -128,17 +113,12 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    model_cfg = model.ModelConfig.from_json(_load_json(args.model_config, "model config"))
-    train_cfg = train.TrainConfig.from_json(_load_json(args.train_config, "train config"))
+    model_cfg = model.ModelConfig.from_json(load_json(args.model_config, "model config"))
+    train_cfg = train.TrainConfig.from_json(load_json(args.train_config, "train config"))
     if args.seed is not None:
         train_cfg = train.TrainConfig.from_json({**train_cfg.to_json(), "seed": args.seed})
-    cube, windows = _load_cube_windows(args.cube, model_cfg.t_in, model_cfg.t_out)
-    if cube.values.shape[2] != model_cfg.grid_size:
-        raise ValidationFailure(
-            f"cube working size {cube.values.shape[2]} != model grid size {model_cfg.grid_size}"
-        )
-    plan = _cube_split(cube, model_cfg, train_cfg.val_fraction)
-    train_windows, val_windows = rasterize.split_windows(windows, plan)
+    cube, windows = _cube_windows(args.cube, model_cfg, train_cfg.val_fraction)
+    train_windows, val_windows = rasterize.split_windows(windows, cube.split)
     result = train.fit(model_cfg, train_cfg, train_windows, val_windows)
 
     out_dir = Path(args.out_dir)
@@ -159,16 +139,13 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     ckpt = Path(args.checkpoint)
-    _require_file(ckpt / "manifest.json", "checkpoint manifest")
     model_cfg, params, _ = model.load_checkpoint(ckpt)
-    cube, windows = _load_cube_windows(args.cube, model_cfg.t_in, model_cfg.t_out)
-    by_start = {w.start_index: w for w in windows}
-    if args.window_start not in by_start:
+    cube, windows = _cube_windows(args.cube, model_cfg)
+    if not 0 <= args.window_start < len(windows):
         raise ValidationFailure(
-            f"window start {args.window_start} not available (0..{max(by_start)})"
+            f"window start {args.window_start} not available (0..{len(windows) - 1})"
         )
-    window = by_start[args.window_start]
-    pred = ev.predict_windows(params, model_cfg, [window])[0]          # (T_out, 1, H, W)
+    pred = ev.predict_windows(params, model_cfg, [windows[args.window_start]])[0]  # (T_out, 1, H, W)
     pred_mm = cube.norm_stats.denormalize(pred, 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -182,9 +159,7 @@ def cmd_predict(args) -> int:
         "target_dates": [d.isoformat() for d in target_dates],
         "shape": list(pred_mm.shape),
     }
-    with open(f"{out}.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(f"{out}.json", sidecar)
     _write_manifest(out.parent, "predict", None, sidecar,
                     {"checkpoint": ckpt, "cube": args.cube}, {"prediction": out})
     print(f"predict: forecast for window {args.window_start} written to {out}")
@@ -209,13 +184,10 @@ def _parse_nodes(raw: str, size: int) -> list[tuple[int, int]]:
 
 def cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint)
-    _require_file(ckpt / "manifest.json", "checkpoint manifest")
     model_cfg, params, _ = model.load_checkpoint(ckpt)
-    cube, windows = _load_cube_windows(args.cube, model_cfg.t_in, model_cfg.t_out)
-    if args.windows == "val" or args.val_fraction is not None:
-        plan = _cube_split(cube, model_cfg, args.val_fraction)
-        if args.windows == "val":
-            _, windows = rasterize.split_windows(windows, plan)
+    cube, windows = _cube_windows(args.cube, model_cfg, args.val_fraction)
+    if args.windows == "val":
+        _, windows = rasterize.split_windows(windows, cube.split)
     report = ev.evaluate(
         ev.predict_windows(params, model_cfg, windows), windows, cube.norm_stats,
         node_pixels=_parse_nodes(args.nodes, cube.values.shape[-1]) if args.nodes else None,

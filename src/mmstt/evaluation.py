@@ -9,7 +9,6 @@ requested pixels and a binned residual table.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from .model import ModelConfig, forward
-from .numerics import Tensor
+from .numerics import Tensor, save_json
 from .rasterize import NormStats, SampleWindow
 
 SSIM_WINDOW = 8
@@ -208,13 +207,13 @@ class ForecastReport:
                     raise EvalError(f"t+{h.step}: {name} {v} outside [-1, 1]")
 
 
-def predict_windows(params, config: ModelConfig, windows: list[SampleWindow],
-                    batch_size: int = 16, dtype=np.float32) -> np.ndarray:
-    """Stack model forecasts for a list of windows: (n_windows, T_out, 1, H, W)."""
+def predict_windows(params, config: ModelConfig, windows: list[SampleWindow]) -> np.ndarray:
+    """Stack float32 model forecasts for a list of windows, 16 at a time:
+    (n_windows, T_out, 1, H, W)."""
     outs = []
-    for i in range(0, len(windows), batch_size):
-        chunk = windows[i:i + batch_size]
-        x = Tensor._wrap(np.stack([w.input for w in chunk]).astype(dtype))
+    for i in range(0, len(windows), 16):
+        chunk = windows[i:i + 16]
+        x = Tensor._wrap(np.stack([w.input for w in chunk]).astype(np.float32))
         outs.append(np.asarray(forward(x, params, config).data, dtype=np.float64))
     return np.concatenate(outs, axis=0)
 
@@ -299,20 +298,8 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, float):
-        return None if math.isnan(obj) else obj
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def write_report_json(path, report: ForecastReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(asdict(report)), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(path, asdict(report))
 
 
 def write_summary_csv(path, report: ForecastReport) -> None:

@@ -11,15 +11,15 @@ all derive from `param_shapes`.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics as nm
+from . import schema
 from .numerics import Tensor
 
 
@@ -41,6 +41,10 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        for name in ("t_in", "t_out", "c_in", "grid_size", "patch_size", "embed_dim",
+                     "n_layers", "n_heads", "ffn_hidden"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.grid_size % self.patch_size:
             raise ModelError(f"grid size {self.grid_size} not divisible by patch size {self.patch_size}")
         if self.embed_dim % self.n_heads:
@@ -75,9 +79,7 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "ModelConfig":
-        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
-            raise ModelError(f"unknown model config key(s): {', '.join(unknown)}")
-        return cls(**d)
+        return schema.from_json(cls, d, ModelError, "model config")
 
 
 def param_shapes(config: ModelConfig) -> "OrderedDict[str, tuple[int, ...]]":
@@ -283,9 +285,7 @@ def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
         "train_step": train_step,
         "validation_loss": val_loss,
     }
-    with (directory / "manifest.json").open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    nm.save_json(directory / "manifest.json", manifest)
 
 
 def load_checkpoint(directory) -> tuple[ModelConfig, "OrderedDict[str, Tensor]", dict]:
@@ -293,10 +293,9 @@ def load_checkpoint(directory) -> tuple[ModelConfig, "OrderedDict[str, Tensor]",
     vector, and the manifest."""
     directory = Path(directory)
     path = directory / "manifest.json"
-    with path.open(encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
-        raise ModelError(f"checkpoint manifest {path} must be a JSON object with a config object")
+    manifest = nm.load_json(path, "checkpoint manifest")
+    if not isinstance(manifest.get("config"), dict):
+        raise ModelError(f"checkpoint manifest {path} must hold a config object")
     config = ModelConfig.from_json(manifest["config"])
     shapes = param_shapes(config)
     sizes = [math.prod(shape) for shape in shapes.values()]

@@ -2,11 +2,13 @@
 
 Layout: magic "MMST", u8 version=1, u8 dtype (0=f32, 1=f64), u8 rank,
 little-endian u32 extents, then the row-major little-endian payload.
-Semantic metadata travels in a JSON sidecar owned by the caller.
+Semantic metadata travels in a JSON sidecar owned by the caller; every JSON
+artifact is written by `save_json` and read by `load_json`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -59,3 +61,37 @@ def load_tensor(path) -> Tensor:
         if fh.readinto(memoryview(arr)) != nbytes:
             raise TensorFileError(f"{path}: payload ends before {nbytes} bytes")
     return Tensor._wrap(arr if dt.isnative else arr.astype(dt.newbyteorder("=")))
+
+
+def _strict(obj):
+    """`obj` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def save_json(path, obj) -> None:
+    """Write strict JSON, indented and key-sorted, with a final newline; NaN
+    and infinities become null."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def load_json(path, what: str) -> dict:
+    """Read a JSON object. Every failure names `what` and the file; a missing
+    file raises FileNotFoundError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{what} not found: {path}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return obj

@@ -12,7 +12,6 @@ with statistics from the training time range only.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -21,7 +20,7 @@ from scipy import sparse
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .ingest import AcquisitionCalendar, MeasurementPoint
-from .numerics import Tensor, load_tensor, save_tensor
+from .numerics import Tensor, load_json, load_tensor, save_json, save_tensor
 
 CHANNEL_NAMES = ("displacement", "mean_velocity", "acceleration", "seasonality", "f_sin", "f_cos")
 YEAR_DAYS = 365.25
@@ -326,8 +325,8 @@ def plan_split(n_times: int, t_in: int, t_out: int, val_fraction: float) -> Spli
 
 
 def split_windows(windows: list[SampleWindow], plan: SplitPlan) -> tuple[list[SampleWindow], list[SampleWindow]]:
-    by_start = {w.start_index: w for w in windows}
-    return [by_start[s] for s in plan.train_starts], [by_start[s] for s in plan.val_starts]
+    """`windows` as `make_windows` returns them, window `s` at index `s`."""
+    return [windows[s] for s in plan.train_starts], [windows[s] for s in plan.val_starts]
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +351,12 @@ def save_cube(path, cube: DataCube) -> None:
         "split": {"t_in": cube.split.t_in, "t_out": cube.split.t_out,
                   "val_fraction": cube.split.val_fraction},
     }
-    with open(f"{path}.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(f"{path}.json", sidecar)
 
 
 def load_cube(path) -> DataCube:
+    sidecar = load_json(f"{path}.json", "cube sidecar")
     values = load_tensor(path).data
-    with open(f"{path}.json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
     try:
         stats = NormStats(
             mean=sidecar["norm_stats"]["mean"],

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import schema
 from .ingest import AcquisitionCalendar, MeasurementPoint
 
 KINDS = ("periodic", "continuous_subsidence", "coseismic_step", "stable")
@@ -58,19 +59,17 @@ class RegimeSpec:
             raise SynthError("need at least 2 dates")
         if self.radius <= 0:
             raise SynthError("radius must be positive")
+        if not self.noise_std >= 0:
+            raise SynthError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise SynthError(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "RegimeSpec":
-        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
-            raise SynthError(f"unknown regime spec key(s): {', '.join(unknown)}")
-        d = dict(d)
-        for key in ("center", "bbox"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        return schema.from_json(cls, d, SynthError, "regime spec")
 
 
 def temporal_law(spec: RegimeSpec, t: np.ndarray) -> np.ndarray:

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import csv
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import numerics as nm
+from . import schema
 from .model import ModelConfig, forward, init_params
 from .numerics import GradTape, Tensor
 from .rasterize import SampleWindow
@@ -31,19 +32,25 @@ class TrainConfig:
     val_fraction: float | None = None  # may only restate the cube's split; None uses it
 
     def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise TrainError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.weight_decay >= 0:
+            raise TrainError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.patience < 1:
             raise TrainError(f"patience must be >= 1, got {self.patience}")
+        if self.max_epochs < 0:
+            raise TrainError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.batch_size < 1:
-            raise TrainError("batch_size must be >= 1")
+            raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise TrainError(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "TrainConfig":
-        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
-            raise TrainError(f"unknown train config key(s): {', '.join(unknown)}")
-        return cls(**d)
+        return schema.from_json(cls, d, TrainError, "train config")
 
 
 @dataclass
@@ -129,17 +136,17 @@ def adamw_step(params, grads, state: AdamWState, lr: float, wd: float):
     return new_params, state
 
 
-def _batch(windows: list[SampleWindow], dtype) -> tuple[Tensor, Tensor]:
-    x = np.stack([w.input for w in windows]).astype(dtype)
-    y = np.stack([w.target for w in windows]).astype(dtype)
+def _batch(windows: list[SampleWindow]) -> tuple[Tensor, Tensor]:
+    x = np.stack([w.input for w in windows]).astype(np.float32)
+    y = np.stack([w.target for w in windows]).astype(np.float32)
     return Tensor._wrap(x), Tensor._wrap(y)
 
 
-def _dataset_loss(params, config, windows, beta, batch_size, dtype) -> float:
+def _dataset_loss(params, config, windows, beta, batch_size) -> float:
     total, count = 0.0, 0
     for i in range(0, len(windows), batch_size):
         chunk = windows[i:i + batch_size]
-        x, y = _batch(chunk, dtype)
+        x, y = _batch(chunk)
         loss = smooth_l1(forward(x, params, config), y, beta)
         total += loss.item() * len(chunk)
         count += len(chunk)
@@ -151,7 +158,6 @@ def fit(
     train_cfg: TrainConfig,
     train_windows: list[SampleWindow],
     val_windows: list[SampleWindow],
-    dtype=np.float32,
 ) -> FitResult:
     """Minibatch AdamW with early stopping on validation Smooth L1.
 
@@ -162,7 +168,7 @@ def fit(
     if not train_windows or not val_windows:
         raise TrainError("need at least one training and one validation window")
     rng = np.random.default_rng(train_cfg.seed)
-    params = init_params(model_cfg, rng, dtype=dtype)
+    params = init_params(model_cfg, rng)
     state = AdamWState.for_params(params)
     beta = train_cfg.smooth_l1_beta
     # dropout applies to training steps only; validation runs deterministically
@@ -176,7 +182,7 @@ def fit(
         train_total, train_count = 0.0, 0
         for i in range(0, len(order), train_cfg.batch_size):
             chunk = [train_windows[j] for j in order[i:i + train_cfg.batch_size]]
-            x, y = _batch(chunk, dtype)
+            x, y = _batch(chunk)
             with GradTape() as tape:
                 loss = smooth_l1(forward(x, params, model_cfg, dropout_rng=drop_rng), y, beta)
             grad_list = tape.gradients(loss, list(params.values()))
@@ -188,7 +194,7 @@ def fit(
             train_count += len(chunk)
             result.total_steps += 1
 
-        val_loss = _dataset_loss(params, model_cfg, val_windows, beta, train_cfg.batch_size, dtype)
+        val_loss = _dataset_loss(params, model_cfg, val_windows, beta, train_cfg.batch_size)
         is_best = val_loss < result.best_val_loss
         if is_best:
             result.best_val_loss = val_loss

@@ -3,8 +3,10 @@ import shutil
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mmstt import model as md
 from mmstt.cli import main
 
 
@@ -78,6 +80,14 @@ def test_zero_epoch_training_still_produces_artifacts(configs, tmp_path):
     out = run_pipeline(tmp_path, paths, run="run0")
     history = (out / "model" / "history.csv").read_text().splitlines()
     assert history == ["epoch,train_loss,val_loss,is_best"]
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=refuse)
+    manifest = json.loads((out / "model" / "checkpoint" / "manifest.json").read_text())
+    assert manifest["validation_loss"] is None
 
 
 def test_predict_window(configs):
@@ -159,6 +169,15 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
 
     no_sidecar = tmp_path / "no_sidecar.mmst"
     no_sidecar.write_bytes(cube.read_bytes())
+    cut_sidecar = tmp_path / "cut_sidecar.mmst"
+    cut_sidecar.write_bytes(cube.read_bytes())
+    Path(f"{cut_sidecar}.json").write_text(Path(f"{cube}.json").read_text()[:30])
+    cut_manifest = damaged_checkpoint("cut_manifest")
+    (cut_manifest / "manifest.json").write_text((ckpt / "manifest.json").read_text()[:30])
+
+    t_in3 = md.ModelConfig.from_json(with_extra_key(paths["model"], t_in=3))
+    t_in3_ckpt = tmp_path / "t_in3"
+    md.save_checkpoint(t_in3_ckpt, t_in3, md.init_params(t_in3, np.random.default_rng(0)))
 
     def evaluate(cube=cube, *extra, checkpoint=ckpt):
         return ["eval", "--checkpoint", str(checkpoint), "--cube", str(cube),
@@ -219,6 +238,13 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "cube without a sidecar": evaluate(no_sidecar),
         "eval --windows all with a val_fraction the cube was not split with": evaluate(
             cube, "--windows", "all", "--val-fraction", "0.9"),
+        "eval --windows all with a checkpoint whose t_in differs from the cube's split": evaluate(
+            cube, "--windows", "all", checkpoint=t_in3_ckpt),
+        "predict with a checkpoint whose t_in differs from the cube's split": [
+            "predict", "--checkpoint", str(t_in3_ckpt), "--cube", str(cube),
+            "--window-start", "0", "--out", str(tmp_path / "pred.mmst")],
+        "truncated checkpoint manifest": evaluate(checkpoint=cut_manifest),
+        "truncated cube sidecar": evaluate(cut_sidecar),
         "zero working size": rasterize(out / "data.csv", "--working-size", "0"),
         "corrupt CSV (field over the csv size limit)": rasterize(long_field),
     }
@@ -231,13 +257,35 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "cube with no split": "no train/validation split",
         "tensor whose extents overflow int64": "payload size",
         "eval --windows all with a val_fraction the cube was not split with": "val_fraction",
+        "eval --windows all with a checkpoint whose t_in differs from the cube's split": "t_in=3",
+        "predict with a checkpoint whose t_in differs from the cube's split": "t_in=3",
+        "truncated checkpoint manifest": "cut_manifest/manifest.json",
+        "truncated cube sidecar": "cut_sidecar.mmst.json",
     }
+    # config values of the wrong JSON type or out of range; the message names key and value
+    bad_values = [
+        ("train", "learning_rate", "0.001"), ("train", "patience", "5"),
+        ("train", "batch_size", 2.5), ("train", "seed", "a"),
+        ("model", "grid_size", "8"), ("model", "n_layers", 1.5),
+        ("spec", "n_points", "40"), ("spec", "center", 5),
+        ("model", "patch_size", 0), ("model", "n_heads", 0), ("train", "max_epochs", -3),
+        ("train", "learning_rate", -1), ("spec", "noise_std", -1),
+        ("train", "seed", -1), ("spec", "seed", -2),
+    ]
+    for i, (config, key, value) in enumerate(bad_values):
+        name = f"{config} {key}={value!r}"
+        path = json_file(f"bad_value{i}.json", with_extra_key(paths[config], **{key: value}))
+        cases[name] = (["synth", "--spec", path, "--out", str(tmp_path / "x.csv")]
+                       if config == "spec" else train(**{config: path}))
+        messages[name] = (key, repr(value))
     capsys.readouterr()
     for name, argv in cases.items():
         assert main(argv) == 1, name
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1, (name, err)
-        assert messages.get(name, "") in err, (name, err)
+        wanted = messages.get(name, "")
+        for part in wanted if isinstance(wanted, tuple) else (wanted,):
+            assert part in err, (name, err)
 
 
 def test_train_refuses_a_val_fraction_the_cube_was_not_split_with(configs, capsys):

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import math
 import struct
 from pathlib import Path
 
@@ -437,3 +439,10 @@ def test_tensor_file_payload_off_by_one_byte_is_refused(tmp_path, change):
     path.write_bytes(raw[:-1] if change == "short" else raw + b"\0")
     with pytest.raises(nm.TensorFileError, match="payload size"):
         nm.load_tensor(path)
+
+
+def test_save_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "a.json"
+    nm.save_json(path, {"b": [1.5, math.nan, (math.inf, 2)], "a": {"x": -math.inf, "y": None}})
+    expected = {"a": {"x": None, "y": None}, "b": [1.5, None, [None, 2]]}
+    assert path.read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True) + "\n"

@@ -23,6 +23,10 @@ class TestRegimeSpec:
     def test_json_round_trip(self):
         spec = RegimeSpec(kind="periodic", amplitude=5.0, seed=9)
         assert RegimeSpec.from_json(spec.to_json()) == spec
+        # as read from a file: tuples arrive as lists, and an integer is a valid float
+        loaded = RegimeSpec.from_json({"kind": "periodic", "amplitude": 5, "seed": 9,
+                                       "center": [500, 500.0], "bbox": [0, 0, 1000, 1000]})
+        assert loaded == spec and isinstance(loaded.center, tuple)
 
 
 class TestGenerate:

@@ -105,6 +105,11 @@ def toy_windows(n, config=TINY, seed=0):
     return out
 
 
+def test_train_config_from_json_takes_null_val_fraction_and_integer_floats():
+    cfg = TrainConfig.from_json({"val_fraction": None, "learning_rate": 1, "weight_decay": 0})
+    assert cfg == TrainConfig(learning_rate=1.0, weight_decay=0.0)
+
+
 class TestFit:
     def test_zero_epochs_returns_initial_params(self):
         cfg = TrainConfig(max_epochs=0, batch_size=2, seed=3)
