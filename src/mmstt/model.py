@@ -4,9 +4,9 @@ reconstruction head with a 1x1 channel-fusion convolution. The head's output
 is the change since the latest observation: the forecast adds it to the last
 input frame's displacement at every horizon.
 
-Parameters live in a flat name -> Tensor mapping whose shapes are a pure
-function of the config, so checkpoints, optimizers, and the parameter count
-all derive from `param_shapes`.
+The parameters are one flat vector in `param_shapes` order: the vector that
+`init_params` draws, AdamW updates and `params.mmst` stores. `param_views` is
+the one map from it to the named tensors the forward pass reads.
 """
 
 from __future__ import annotations
@@ -109,30 +109,39 @@ def param_shapes(config: ModelConfig) -> "OrderedDict[str, tuple[int, ...]]":
     return shapes
 
 
-def count_params(config: ModelConfig) -> int:
-    """Closed-form parameter total.
+def param_views(config: ModelConfig, flat: np.ndarray,
+                source="parameter vector") -> "OrderedDict[str, Tensor]":
+    """The named parameters as read-only views of `flat`, one vector holding
+    every parameter in `param_shapes` order. `source` names the vector in the
+    error raised when its shape does not fit the config."""
+    shapes = param_shapes(config)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    expected = (sum(sizes),)
+    if flat.shape != expected:
+        raise ModelError(f"{source} has shape {flat.shape}; the manifest's config needs {expected}")
+    params: OrderedDict[str, Tensor] = OrderedDict()
+    start = 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        params[name] = Tensor._wrap(flat[start:start + size].reshape(shape))
+        start += size
+    return params
 
-    patch projection (patch_dim+1)*D, positional table N*D, per layer
-    4 LayerNorm vectors + four (D^2+D) projections + the two FFN matrices,
-    head projection (D+1)*patch_dim, fusion conv c_in+1.
-    """
-    d, f, pd = config.embed_dim, config.ffn_hidden, config.patch_dim
-    per_layer = 4 * d + 4 * (d * d + d) + (d * f + f) + (f * d + d)
-    return (
-        (pd * d + d)
-        + config.n_tokens * d
-        + config.n_layers * per_layer
-        + (d * pd + pd)
-        + (config.c_in + 1)
-    )
+
+def flatten(arrays) -> np.ndarray:
+    """One vector of `arrays`, each raveled in turn: given the parameters or
+    their gradients in `param_shapes` order, the layout `param_views` reads."""
+    return np.concatenate([np.ravel(a) for a in arrays])
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> "OrderedDict[str, Tensor]":
     """Standard transformer init: weights and pos_embed ~ N(0, 0.02), biases 0,
     LayerNorm gamma 1 / beta 0. The fusion conv mixes only `c_in` channels, so
     it takes the fan-in scale N(0, 1/sqrt(c_in)) instead; at 0.02 it would
-    damp the forecast's learned change by ~20x and stall its training."""
-    params: OrderedDict[str, Tensor] = OrderedDict()
+    damp the forecast's learned change by ~20x and stall its training.
+
+    Each weight is drawn from `rng` in `param_shapes` order, in float64 and
+    rounded to `dtype`; the result is `param_views` of one vector."""
+    parts = []
     for name, shape in param_shapes(config).items():
         if name.endswith(".gamma"):
             arr = np.ones(shape, dtype=dtype)
@@ -141,8 +150,8 @@ def init_params(config: ModelConfig, rng: np.random.Generator, dtype=np.float32)
         else:
             std = 1.0 / math.sqrt(config.c_in) if name == "fusion.w" else 0.02
             arr = rng.normal(0.0, std, size=shape).astype(dtype)
-        params[name] = Tensor._wrap(arr)
-    return params
+        parts.append(arr)
+    return param_views(config, flatten(parts))
 
 
 def _check_params(params, config: ModelConfig) -> None:
@@ -278,7 +287,7 @@ def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
     for stale in directory.glob("*.mmst"):
         if stale.name != "params.mmst":
             stale.unlink()
-    flat = np.concatenate([params[name].data.ravel() for name in param_shapes(config)])
+    flat = flatten(params[name].data for name in param_shapes(config))
     nm.save_tensor(directory / "params.mmst", Tensor._wrap(flat))
     manifest = {
         "config": config.to_json(),
@@ -289,22 +298,13 @@ def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
 
 
 def load_checkpoint(directory) -> tuple[ModelConfig, "OrderedDict[str, Tensor]", dict]:
-    """The config, the parameters as views into the one flat `params.mmst`
-    vector, and the manifest."""
+    """The config, the parameters as `param_views` of the one flat
+    `params.mmst` vector, and the manifest."""
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = nm.load_json(path, "checkpoint manifest")
     if not isinstance(manifest.get("config"), dict):
         raise ModelError(f"checkpoint manifest {path} must hold a config object")
     config = ModelConfig.from_json(manifest["config"])
-    shapes = param_shapes(config)
-    sizes = [math.prod(shape) for shape in shapes.values()]
     flat = nm.load_tensor(directory / "params.mmst").data
-    expected = (sum(sizes),)
-    if flat.shape != expected:
-        raise ModelError(f"{directory / 'params.mmst'} has shape {flat.shape}; "
-                         f"the manifest's config needs {expected}")
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    params = OrderedDict((name, Tensor._wrap(part.reshape(shape)))
-                         for (name, shape), part in zip(shapes.items(), parts))
-    return config, params, manifest
+    return config, param_views(config, flat, directory / "params.mmst"), manifest

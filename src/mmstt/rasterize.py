@@ -335,8 +335,9 @@ def split_windows(windows: list[SampleWindow], plan: SplitPlan) -> tuple[list[Sa
 
 
 def save_cube(path, cube: DataCube) -> None:
-    """Write `<path>` (binary tensor) and `<path>.json` (semantic sidecar)."""
-    save_tensor(path, Tensor(cube.values, dtype=np.float64))
+    """Write `<path>` (binary tensor) and `<path>.json` (semantic sidecar).
+    The tensor is written from a read-only view of the cube, not a copy."""
+    save_tensor(path, Tensor._wrap(np.asarray(cube.values, dtype=np.float64).view()))
     sidecar = {
         "channels": list(CHANNEL_NAMES),
         "norm_stats": {
@@ -354,21 +355,39 @@ def save_cube(path, cube: DataCube) -> None:
     save_json(f"{path}.json", sidecar)
 
 
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def load_cube(path) -> DataCube:
+    """Read a cube and its sidecar, refusing a tensor whose shape is not
+    (len(calendar), 6, working_size, working_size) and statistics that are
+    not 4 finite numbers for `mean`, 4 positive finite ones for `std` (with a
+    zero std every forecast scores as perfect) and 4 booleans for `constant`."""
     sidecar = load_json(f"{path}.json", "cube sidecar")
     values = load_tensor(path).data
     try:
-        stats = NormStats(
-            mean=sidecar["norm_stats"]["mean"],
-            std=sidecar["norm_stats"]["std"],
-            constant=sidecar["norm_stats"]["constant"],
-        )
+        raw = sidecar["norm_stats"]
+        for key, valid, kind in (
+            ("mean", _is_finite_number, "finite numbers"),
+            ("std", lambda x: _is_finite_number(x) and x > 0, "positive finite numbers"),
+            ("constant", lambda x: isinstance(x, bool), "booleans"),
+        ):
+            entries = raw[key]
+            if not (isinstance(entries, list) and len(entries) == 4 and all(map(valid, entries))):
+                raise RasterizeError(f"cube sidecar {path}.json: norm_stats {key} must hold "
+                                     f"4 {kind}, one per Z-scored channel, got {entries!r}")
+        stats = NormStats(mean=raw["mean"], std=raw["std"], constant=raw["constant"])
         calendar = AcquisitionCalendar(tuple(dt.date.fromisoformat(d) for d in sidecar["calendar"]))
         grid = GridSpec(
             bbox=tuple(sidecar["bbox"]),
             native_size=sidecar["native_size"],
             working_size=sidecar["working_size"],
         )
+        expected = (len(calendar), len(CHANNEL_NAMES), grid.working_size, grid.working_size)
+        if values.shape != expected:
+            raise RasterizeError(f"cube {path} has shape {values.shape}; its sidecar "
+                                 f"{path}.json describes {expected}")
         split = sidecar["split"]
         if not split:
             raise RasterizeError(

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import schema
-from .model import ModelConfig, forward, init_params
+from .model import ModelConfig, flatten, forward, init_params, param_views
 from .numerics import GradTape, Tensor
 from .rasterize import SampleWindow
 
@@ -53,23 +53,17 @@ class TrainConfig:
         return schema.from_json(cls, d, TrainError, "train config")
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamWState:
-    """Canonical AdamW moments; shapes mirror the parameters."""
+    """AdamW moments: two vectors laid out like the flat parameter vector,
+    and the number of steps taken."""
 
-    m: "OrderedDict[str, np.ndarray]"
-    v: "OrderedDict[str, np.ndarray]"
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def for_params(cls, params) -> "AdamWState":
-        return cls(
-            m=OrderedDict((k, np.zeros_like(p.data)) for k, p in params.items()),
-            v=OrderedDict((k, np.zeros_like(p.data)) for k, p in params.items()),
-        )
 
 
 @dataclass
@@ -113,27 +107,18 @@ def smooth_l1(y_hat: Tensor, y: Tensor, beta: float = 1.0) -> Tensor:
     return out
 
 
-def adamw_step(params, grads, state: AdamWState, lr: float, wd: float):
-    """One canonical AdamW update with bias correction; weight decay is applied
-    directly to the parameters, not through the moments. Returns new params."""
+def adamw_step(flat: np.ndarray, grad: np.ndarray, state: AdamWState, lr: float,
+               wd: float) -> np.ndarray:
+    """One canonical AdamW update of the flat parameter vector, with bias
+    correction; weight decay is applied directly to the parameters, not
+    through the moments. Returns a new vector and never writes into `flat`,
+    so views of earlier vectors keep their values."""
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    new_params: OrderedDict[str, Tensor] = OrderedDict()
-    for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for parameter {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        new = p.data - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p.data)
-        new_params[name] = Tensor._wrap(new.astype(p.dtype, copy=False))
-    return new_params, state
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * (grad * grad)
+    m_hat = state.m / (1.0 - BETA1 ** state.t)
+    v_hat = state.v / (1.0 - BETA2 ** state.t)
+    return flat - lr * (m_hat / (np.sqrt(v_hat) + EPS) + wd * flat)
 
 
 def _batch(windows: list[SampleWindow]) -> tuple[Tensor, Tensor]:
@@ -169,7 +154,8 @@ def fit(
         raise TrainError("need at least one training and one validation window")
     rng = np.random.default_rng(train_cfg.seed)
     params = init_params(model_cfg, rng)
-    state = AdamWState.for_params(params)
+    flat = flatten(p.data for p in params.values())
+    state = AdamWState(m=np.zeros_like(flat), v=np.zeros_like(flat))
     beta = train_cfg.smooth_l1_beta
     # dropout applies to training steps only; validation runs deterministically
     drop_rng = rng.spawn(1)[0] if model_cfg.dropout > 0 else None
@@ -185,11 +171,14 @@ def fit(
             x, y = _batch(chunk)
             with GradTape() as tape:
                 loss = smooth_l1(forward(x, params, model_cfg, dropout_rng=drop_rng), y, beta)
-            grad_list = tape.gradients(loss, list(params.values()))
-            grads = dict(zip(params.keys(), grad_list))
-            params, state = adamw_step(
-                params, grads, state, train_cfg.learning_rate, train_cfg.weight_decay
-            )
+            grad = flatten(tape.gradients(loss, list(params.values())))
+            del tape  # free the step's activations before the update allocates
+            if not np.isfinite(grad).all():
+                bad = next(name for name, g in param_views(model_cfg, grad).items()
+                           if not np.isfinite(g.data).all())
+                raise FloatingPointError(f"non-finite gradient for parameter {bad}")
+            flat = adamw_step(flat, grad, state, train_cfg.learning_rate, train_cfg.weight_decay)
+            params = param_views(model_cfg, flat)
             train_total += loss.item() * len(chunk)
             train_count += len(chunk)
             result.total_steps += 1

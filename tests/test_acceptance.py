@@ -161,26 +161,25 @@ def test_criterion_4_optimizer_oracle():
         grads = rng.normal(size=100)
         lr = float(rng.uniform(1e-4, 1e-2))
         wd = float(rng.uniform(0.0, 1e-2))
-        params = {"w": Tensor(np.array([p_val]), dtype=np.float64)}
-        state = tr.AdamWState.for_params(params)
+        flat = np.array([p_val])
+        state = tr.AdamWState(m=np.zeros(1), v=np.zeros(1))
         m = v = 0.0
         oracle = p_val
         for t, g in enumerate(grads, start=1):
-            params, state = tr.adamw_step(params, {"w": np.array([g])}, state, lr, wd)
+            flat = tr.adamw_step(flat, np.array([g]), state, lr, wd)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             oracle -= lr * ((m / (1 - 0.9**t)) / ((v / (1 - 0.999**t)) ** 0.5 + 1e-8) + wd * oracle)
-            max_err = max(max_err, abs(float(params["w"].data[0]) - oracle))
+            max_err = max(max_err, abs(float(flat[0]) - oracle))
     oracle_ok = max_err < 1e-10
 
     lr, wd = 0.02, 0.5
-    params = {"w": Tensor(np.array([1.0, -3.0]), dtype=np.float64)}
-    state = tr.AdamWState.for_params(params)
+    flat = np.array([1.0, -3.0])
+    state = tr.AdamWState(m=np.zeros(2), v=np.zeros(2))
     decay_ok = True
     for step in range(1, 4):
-        params, state = tr.adamw_step(params, {"w": np.zeros(2)}, state, lr, wd)
-        decay_ok &= np.allclose(params["w"].data, np.array([1.0, -3.0]) * (1 - lr * wd) ** step,
-                                rtol=1e-12)
+        flat = tr.adamw_step(flat, np.zeros(2), state, lr, wd)
+        decay_ok &= np.allclose(flat, np.array([1.0, -3.0]) * (1 - lr * wd) ** step, rtol=1e-12)
 
     criterion(4, oracle_ok and decay_ok,
               f"adamw vs scalar oracle over 500 random steps: max |diff|={max_err:.2e} "

@@ -150,6 +150,7 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         return str(p)
 
     sidecar = json.loads(Path(f"{cube}.json").read_text())
+    cube_size = len(sidecar["calendar"]) * 6 * sidecar["working_size"] ** 2
 
     def without(d, key):
         return {k: v for k, v in d.items() if k != key}
@@ -220,6 +221,15 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
             {**sidecar, "split": {**sidecar["split"], "val_fraction": "0.2"}})),
         "cube with no split": evaluate(
             damaged_cube("null_split.mmst", cube.read_bytes(), {**sidecar, "split": None})),
+        "sidecar whose norm_stats mean is empty": evaluate(damaged_cube(
+            "no_mean.mmst", cube.read_bytes(),
+            {**sidecar, "norm_stats": {**sidecar["norm_stats"], "mean": []}})),
+        "sidecar with a zero norm_stats std": evaluate(damaged_cube(
+            "zero_std.mmst", cube.read_bytes(),
+            {**sidecar, "norm_stats": {**sidecar["norm_stats"], "std": [0.0, 1.0, 1.0, 1.0]}})),
+        "rank-1 cube with the sidecar's element count": evaluate(damaged_cube(
+            "rank1.mmst", b"MMST" + struct.pack("<BBBI", 1, 1, 1, cube_size) + bytes(8 * cube_size),
+            sidecar)),
         "model t_in differs from the cube's split": train(model=json_file(
             "model_t_in.json", with_extra_key(paths["model"], t_in=3))),
         "checkpoint manifest without config": evaluate(checkpoint=damaged_checkpoint(
@@ -255,6 +265,9 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "truncated checkpoint tensor": "params.mmst",
         "cube without a sidecar": "cube sidecar not found",
         "cube with no split": "no train/validation split",
+        "sidecar whose norm_stats mean is empty": ("no_mean.mmst.json", "norm_stats mean"),
+        "sidecar with a zero norm_stats std": ("zero_std.mmst.json", "norm_stats std"),
+        "rank-1 cube with the sidecar's element count": "rank1.mmst has shape (",
         "tensor whose extents overflow int64": "payload size",
         "eval --windows all with a val_fraction the cube was not split with": "val_fraction",
         "eval --windows all with a checkpoint whose t_in differs from the cube's split": "t_in=3",

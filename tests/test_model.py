@@ -229,12 +229,31 @@ class TestParamCount:
         shapes = md.param_shapes(TINY)
         assert int(np.prod(shapes["pos_embed"])) == TINY.n_tokens * TINY.embed_dim
 
-    def test_closed_form_matches_allocator(self):
-        cfg = ModelConfig(t_in=4, t_out=4, c_in=6, grid_size=16, patch_size=4,
-                          embed_dim=32, n_layers=2, n_heads=4, ffn_hidden=64)
-        params = md.init_params(cfg, np.random.default_rng(0))
-        allocated = sum(p.size for p in params.values())
-        assert md.count_params(cfg) == allocated
+
+def reference_init(config, rng, dtype):
+    """`init_params` drawn one tensor at a time, written independently of it."""
+    out = {}
+    for name, shape in md.param_shapes(config).items():
+        if name.endswith(".gamma"):
+            out[name] = np.ones(shape, dtype=dtype)
+        elif name.endswith((".beta", ".b", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")):
+            out[name] = np.zeros(shape, dtype=dtype)
+        else:
+            std = 1.0 / np.sqrt(config.c_in) if name == "fusion.w" else 0.02
+            out[name] = rng.normal(0.0, std, size=shape).astype(dtype)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_params_draws_each_tensor_in_param_shapes_order(dtype):
+    cfg = ModelConfig(t_in=4, t_out=4, c_in=6, grid_size=16, patch_size=4,
+                      embed_dim=32, n_layers=2, n_heads=4, ffn_hidden=64)
+    params = md.init_params(cfg, np.random.default_rng(0), dtype=dtype)
+    want = reference_init(cfg, np.random.default_rng(0), dtype)
+    assert list(params) == list(want)
+    for name, arr in want.items():
+        assert params[name].dtype == dtype, name
+        assert np.array_equal(params[name].data, arr), name
 
 
 def test_end_to_end_gradient_check():

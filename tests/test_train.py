@@ -49,46 +49,43 @@ def scalar_adamw_oracle(p, g_seq, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
     return p
 
 
+def adamw(flat):
+    """A fresh AdamW state for the vector `flat`."""
+    return AdamWState(m=np.zeros_like(flat), v=np.zeros_like(flat))
+
+
 class TestAdamW:
     def test_zero_gradients_no_decay_leaves_params(self):
-        params = {"w": t64([1.0, -2.0])}
-        state = AdamWState.for_params(params)
-        out, _ = tr.adamw_step(params, {"w": np.zeros(2)}, state, lr=0.1, wd=0.0)
-        assert np.array_equal(out["w"].data, params["w"].data)
+        flat = np.array([1.0, -2.0])
+        out = tr.adamw_step(flat, np.zeros(2), adamw(flat), lr=0.1, wd=0.0)
+        assert np.array_equal(out, flat)
 
     def test_single_step_descends_and_matches_oracle(self):
-        params = {"w": t64([1.0])}
-        state = AdamWState.for_params(params)
-        out, _ = tr.adamw_step(params, {"w": np.array([1.0])}, state, lr=0.1, wd=0.0)
-        assert out["w"].data[0] < 1.0
+        flat = np.array([1.0])
+        out = tr.adamw_step(flat, np.array([1.0]), adamw(flat), lr=0.1, wd=0.0)
+        assert out[0] < 1.0
         want = scalar_adamw_oracle(1.0, [1.0], lr=0.1, wd=0.0)
-        assert abs(out["w"].data[0] - want) < 1e-10
+        assert abs(out[0] - want) < 1e-10
 
     def test_hundred_random_steps_match_oracle(self):
         rng = np.random.default_rng(1)
         p0 = float(rng.normal())
         grads = rng.normal(size=100)
         lr, wd = 1e-2, 1e-3
-        params = {"w": t64([p0])}
-        state = AdamWState.for_params(params)
+        flat = np.array([p0])
+        state = adamw(flat)
         for g in grads:
-            params, state = tr.adamw_step(params, {"w": np.array([g])}, state, lr, wd)
+            flat = tr.adamw_step(flat, np.array([g]), state, lr, wd)
         want = scalar_adamw_oracle(p0, grads, lr, wd)
-        assert abs(params["w"].data[0] - want) < 1e-10
+        assert abs(flat[0] - want) < 1e-10
 
     def test_decoupled_decay_shrinks_params(self):
         lr, wd = 0.05, 0.1
-        params = {"w": t64([2.0, -4.0])}
-        state = AdamWState.for_params(params)
+        flat = np.array([2.0, -4.0])
+        state = adamw(flat)
         for step in range(1, 4):
-            params, state = tr.adamw_step(params, {"w": np.zeros(2)}, state, lr, wd)
-            assert np.allclose(params["w"].data, np.array([2.0, -4.0]) * (1 - lr * wd) ** step)
-
-    def test_nonfinite_gradient_names_param(self):
-        params = {"bad_param": t64([1.0])}
-        state = AdamWState.for_params(params)
-        with pytest.raises(FloatingPointError, match="bad_param"):
-            tr.adamw_step(params, {"bad_param": np.array([np.nan])}, state, 0.1, 0.0)
+            flat = tr.adamw_step(flat, np.zeros(2), state, lr, wd)
+            assert np.allclose(flat, np.array([2.0, -4.0]) * (1 - lr * wd) ** step)
 
 
 TINY = ModelConfig(t_in=2, t_out=2, c_in=6, grid_size=8, patch_size=4,
@@ -154,11 +151,22 @@ class TestFit:
 
     def test_early_stopping_returns_best_checkpoint(self):
         cfg = TrainConfig(learning_rate=5e-3, max_epochs=40, patience=3, batch_size=2, seed=7)
-        res = tr.fit(TINY, cfg, toy_windows(4), toy_windows(2, seed=11))
+        val = toy_windows(2, seed=11)
+        res = tr.fit(TINY, cfg, toy_windows(4), val)
         assert res.best_val_loss == min(e.val_loss for e in res.history)
         assert res.history[res.best_epoch].is_best
         # no epoch after best_epoch improved, and the run stopped `patience` later
         assert len(res.history) <= res.best_epoch + cfg.patience + 1
+        # the returned parameters are the best epoch's, untouched by the later updates
+        assert res.best_epoch < len(res.history) - 1
+        assert tr._dataset_loss(res.params, TINY, val, cfg.smooth_l1_beta,
+                                cfg.batch_size) == res.best_val_loss
+
+    def test_nonfinite_gradient_names_param(self):
+        bad = toy_windows(2)
+        bad[1].input[0, 0, 0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match=r"parameter patch_proj\.w$"):
+            tr.fit(TINY, TrainConfig(max_epochs=1, batch_size=2), bad, toy_windows(1, seed=9))
 
 
 def test_write_history_round_trips(tmp_path):
