@@ -183,14 +183,17 @@ def _parse_nodes(raw: str, size: int) -> list[tuple[int, int]]:
 
 
 def cmd_eval(args) -> int:
+    if args.bins < 2:
+        raise ValidationFailure(f"--bins must be at least 2, got {args.bins}")
     ckpt = Path(args.checkpoint)
     model_cfg, params, _ = model.load_checkpoint(ckpt)
     cube, windows = _cube_windows(args.cube, model_cfg, args.val_fraction)
     if args.windows == "val":
         _, windows = rasterize.split_windows(windows, cube.split)
+    nodes = _parse_nodes(args.nodes, cube.values.shape[-1]) if args.nodes else None
     report = ev.evaluate(
         ev.predict_windows(params, model_cfg, windows), windows, cube.norm_stats,
-        node_pixels=_parse_nodes(args.nodes, cube.values.shape[-1]) if args.nodes else None,
+        node_pixels=nodes,
         n_bins=args.bins,
         event_time_index=args.event_time,
     )

@@ -299,7 +299,8 @@ def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
 
 def load_checkpoint(directory) -> tuple[ModelConfig, "OrderedDict[str, Tensor]", dict]:
     """The config, the parameters as `param_views` of the one flat
-    `params.mmst` vector, and the manifest."""
+    `params.mmst` vector, and the manifest. The views look into a read-only
+    map of the file, so a write into loaded parameters raises."""
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = nm.load_json(path, "checkpoint manifest")

@@ -2,6 +2,9 @@
 
 Layout: magic "MMST", u8 version=1, u8 dtype (0=f32, 1=f64), u8 rank,
 little-endian u32 extents, then the row-major little-endian payload.
+A read maps the payload read-only, so a caller pages in only the slices it
+touches; a write goes to `<path>.tmp` and is renamed over `path`, so a file
+that a live map covers is replaced, never truncated under it.
 Semantic metadata travels in a JSON sidecar owned by the caller; every JSON
 artifact is written by `save_json` and read by `load_json`.
 """
@@ -12,6 +15,7 @@ import json
 import math
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -28,17 +32,28 @@ class TensorFileError(ValueError):
 
 
 def save_tensor(path, t: Tensor) -> None:
+    """Write `<path>.tmp` from the array's own buffer, then rename it over
+    `path`. A save that raises removes the partial file and leaves the old
+    `path` as it was; a live map of the old file keeps its own inode."""
     code = _DTYPE_CODES[t.data.dtype]
     arr = np.ascontiguousarray(t.data, dtype=_CODE_DTYPES[code])  # no copy when already LE and C-ordered
     header = MAGIC + struct.pack(f"<BBB{arr.ndim}I", VERSION, code, arr.ndim, *arr.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(memoryview(arr))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(memoryview(arr))
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_tensor(path) -> Tensor:
-    """Read a tensor file into one freshly allocated array, refusing any file
-    whose size disagrees with its header before allocating."""
+    """Map a tensor file's payload read-only, refusing any file whose size
+    disagrees with its header before mapping. The data is a plain ndarray
+    view of the map: nothing is read until it is touched, and a write into
+    it raises."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(7)
@@ -57,9 +72,10 @@ def load_tensor(path) -> Tensor:
         offset = 7 + 4 * rank
         if size - offset != nbytes:
             raise TensorFileError(f"{path}: payload size {size - offset}, expected {nbytes}")
-        arr = np.empty(shape, dtype=dt)
-        if fh.readinto(memoryview(arr)) != nbytes:
-            raise TensorFileError(f"{path}: payload ends before {nbytes} bytes")
+        # mapped through the handle whose size was checked, so checks and map see one
+        # inode; viewed as a plain ndarray, since every slice of an np.memmap subclass
+        # pays for its __getitem__ and __array_finalize__
+        arr = np.memmap(fh, dtype=dt, mode="r", offset=offset, shape=shape).view(np.ndarray)
     return Tensor._wrap(arr if dt.isnative else arr.astype(dt.newbyteorder("=")))
 
 

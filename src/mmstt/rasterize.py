@@ -281,7 +281,9 @@ def build_cube(
 
 def make_windows(cube: DataCube, t_in: int = 10, t_out: int = 10) -> list[SampleWindow]:
     """Slice the cube into sliding input/target windows. Targets are the
-    normalized displacement channel; evaluation denormalizes via norm_stats."""
+    normalized displacement channel; evaluation denormalizes via norm_stats.
+    Windows are views, so for a loaded cube only the frames a caller stacks
+    are read from its file."""
     t = cube.n_times
     if t < t_in + t_out:
         raise RasterizeError(f"cube has {t} time steps; need at least {t_in + t_out}")

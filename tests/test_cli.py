@@ -301,6 +301,37 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
             assert part in err, (name, err)
 
 
+def test_eval_checks_its_flags_before_running_the_model(configs, capsys, monkeypatch):
+    tmp_path, paths = configs
+    out = run_pipeline(tmp_path, paths)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model ran before the flags were checked")
+
+    monkeypatch.setattr("mmstt.cli.ev.predict_windows", refuse)
+    capsys.readouterr()
+    for flags, wanted in ((["--nodes", "2,3;0,8"], "0,8"), (["--nodes", "a,b"], "a,b"),
+                          (["--bins", "0"], "--bins"), (["--bins", "1"], "--bins")):
+        assert main(["eval", "--checkpoint", str(out / "model" / "checkpoint"),
+                     "--cube", str(out / "cube.mmst"), "--out-dir", str(tmp_path / "report"),
+                     *flags]) == 1, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and wanted in err, (flags, err)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts open descriptors in /proc")
+def test_repeated_predict_leaves_no_open_descriptor(configs):
+    tmp_path, paths = configs
+    out = run_pipeline(tmp_path, paths)
+    argv = ["predict", "--checkpoint", str(out / "model" / "checkpoint"),
+            "--cube", str(out / "cube.mmst"), "--window-start", "0", "--out", str(out / "pred.mmst")]
+    assert main(argv) == 0
+    before = len(list(Path("/proc/self/fd").iterdir()))
+    for _ in range(20):
+        assert main(argv) == 0
+    assert len(list(Path("/proc/self/fd").iterdir())) == before
+
+
 def test_train_refuses_a_val_fraction_the_cube_was_not_split_with(configs, capsys):
     tmp_path, paths = configs
     out = tmp_path / "run"

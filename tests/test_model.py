@@ -306,6 +306,9 @@ def test_checkpoint_round_trip(tmp_path):
         for name, p in params.items():
             assert back[name].dtype == dtype
             assert np.array_equal(back[name].data, p.data)
+            assert not back[name].data.flags.writeable
+            with pytest.raises(ValueError):
+                back[name].data.setflags(write=True)
 
 
 def test_save_over_old_per_parameter_layout_leaves_two_files(tmp_path):

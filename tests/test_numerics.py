@@ -404,6 +404,51 @@ def test_tensor_file_round_trip(tmp_path, dtype):
     assert np.array_equal(back.data, t.data)
 
 
+def test_empty_tensor_file_round_trip(tmp_path):
+    path = tmp_path / "t.mmst"
+    nm.save_tensor(path, Tensor(np.zeros((0, 3)), dtype=np.float32))
+    back = nm.load_tensor(path)
+    assert back.dtype == np.float32
+    assert back.shape == (0, 3)
+
+
+def test_loaded_tensor_is_read_only(tmp_path):
+    path = tmp_path / "t.mmst"
+    nm.save_tensor(path, Tensor(np.arange(6.0).reshape(2, 3), dtype=np.float64))
+    data = nm.load_tensor(path).data
+    assert not data.flags.writeable
+    with pytest.raises(ValueError):
+        data.setflags(write=True)
+    with pytest.raises(ValueError, match="read-only"):
+        data[0, 0] = 1.0
+
+
+def test_interrupted_save_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.mmst"
+    nm.save_tensor(path, Tensor(np.arange(6.0).reshape(2, 3), dtype=np.float64))
+    old = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("mmstt.numerics.tensorfile.os.replace", crash)
+    with pytest.raises(OSError, match="disk full"):
+        nm.save_tensor(path, Tensor(np.ones((4, 4)), dtype=np.float32))
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert np.array_equal(nm.load_tensor(path).data, np.arange(6.0).reshape(2, 3))
+    assert [p.name for p in tmp_path.iterdir()] == ["t.mmst"]
+
+
+def test_save_over_a_loaded_tensor_keeps_the_loaded_values(tmp_path):
+    path = tmp_path / "t.mmst"
+    nm.save_tensor(path, Tensor(np.arange(6.0).reshape(2, 3), dtype=np.float64))
+    old = nm.load_tensor(path).data
+    nm.save_tensor(path, Tensor(-np.arange(6.0).reshape(2, 3), dtype=np.float64))
+    assert np.array_equal(old, np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(nm.load_tensor(path).data, -np.arange(6.0).reshape(2, 3))
+
+
 def test_tensor_file_header(tmp_path):
     path = tmp_path / "t.mmst"
     nm.save_tensor(path, Tensor(np.zeros((2, 2)), dtype=np.float32))

@@ -387,6 +387,9 @@ def test_cube_save_load_round_trip(tmp_path):
     rz.save_cube(path, cube)
     back = rz.load_cube(path)
     assert np.array_equal(back.values, cube.values)
+    assert not back.values.flags.writeable
+    with pytest.raises(ValueError):
+        back.values.setflags(write=True)
     assert back.norm_stats.mean == cube.norm_stats.mean
     assert back.norm_stats.std == cube.norm_stats.std
     assert back.norm_stats.constant == cube.norm_stats.constant
