@@ -54,6 +54,7 @@ def grad_check(
     if not np.isfinite(loss_val):
         raise FloatingPointError(f"grad_check: loss is not finite ({loss_val})")
     analytic = tape.gradients(loss, params)
+    del tape   # its closures hold every activation; the probes below need none
 
     entries = [(pi, ei) for pi, p in enumerate(params) for ei in range(p.size)]
     if len(entries) > sample_size:

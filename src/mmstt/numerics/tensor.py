@@ -4,6 +4,7 @@ shapes up front, and records its backward rule on the active GradTape."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -17,15 +18,21 @@ class ShapeError(ValueError):
     """Raised when operand shapes (or dtypes) are incompatible."""
 
 
+# Source of `Tensor.key`: unlike `id()`, a key is never handed out again
+# after its Tensor is freed, so the tape can route gradients by it.
+_keys = itertools.count()
+
+
 class Tensor:
     """Immutable dense array value.
 
     `data` is a row-major numpy array in float32 (training mode) or float64
-    (gradient-check mode). Tensors are never mutated after construction;
-    updates produce new Tensors.
+    (gradient-check mode). `key` is an integer unique to this Tensor for the
+    life of the process; the tape records it in place of the Tensor. Tensors
+    are never mutated after construction; updates produce new Tensors.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "key")
 
     def __init__(self, data, dtype=None):
         if dtype is None:
@@ -35,6 +42,7 @@ class Tensor:
         arr = np.array(data, dtype=dtype)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "key", next(_keys))
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -43,6 +51,7 @@ class Tensor:
         if arr.flags.writeable:
             arr.setflags(write=False)
         object.__setattr__(t, "data", arr)
+        object.__setattr__(t, "key", next(_keys))
         return t
 
     @property
@@ -87,11 +96,13 @@ class GradTape:
 
     Use as a context manager around the forward computation, then call
     `gradients(loss, params)`. One tape per training step, and at most one
-    active at a time.
+    active at a time. The tape holds keys and backward closures, never
+    Tensors, so an intermediate lives only as long as the forward code or a
+    closure that reads it holds its array.
     """
 
     def __init__(self):
-        self._ops: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self._ops: list[tuple[int, tuple[int, ...], object]] = []
 
     def __enter__(self) -> "GradTape":
         global _active
@@ -107,29 +118,34 @@ class GradTape:
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
         """Append one primitive: `backward(grad_out)` must return one gradient
-        array (or None) per input, each of the input's exact shape."""
-        self._ops.append((out, inputs, backward))
+        array (or None) per input, each of the input's exact shape.
+
+        Only the keys of `out` and `inputs` are kept. `backward` should
+        capture the arrays and shapes it reads, not Tensors, or it keeps
+        those Tensors alive until the tape is dropped."""
+        self._ops.append((out.key, tuple(t.key for t in inputs), backward))
 
     def gradients(self, loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
         """Walk the tape backward from a scalar loss.
 
-        Returns one gradient per requested parameter, of identical shape;
-        parameters the loss does not depend on get zeros.
+        Gradients are routed by `Tensor.key`. Returns one gradient per
+        requested parameter, of identical shape; parameters the loss does
+        not depend on get zeros.
         """
         if loss.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         for out, inputs, backward in reversed(self._ops):
-            g = grads.pop(id(out), None)
+            g = grads.pop(out, None)
             if g is None:
                 continue
             in_grads = backward(g)
-            for t, ig in zip(inputs, in_grads):
+            for key, ig in zip(inputs, in_grads):
                 if ig is None:
                     continue
-                acc = grads.get(id(t))
-                grads[id(t)] = ig if acc is None else acc + ig
-        return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
+                acc = grads.get(key)
+                grads[key] = ig if acc is None else acc + ig
+        return [grads[p.key] if p.key in grads else np.zeros_like(p.data) for p in params]
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward) -> Tensor:
@@ -358,12 +374,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, sink: list | None =
         sink.append(p_all)
 
     def backward(g):
-        dq = np.empty(q.shape, dtype=g.dtype)
+        dq = np.empty(qd.shape, dtype=g.dtype)
         # dk is handed on as a view of (B, h, dh, N), the layout the chain's
         # kᵀ gradient had: sums over it downstream (the bias gradient) follow
         # memory order, so another layout changes their rounding
         dk_t = np.empty((b, h, dh, n), dtype=g.dtype)
-        dv = np.empty(q.shape, dtype=g.dtype)
+        dv = np.empty(qd.shape, dtype=g.dtype)
         for ix in groups:
             p = probs(ix)
             np.matmul(np.swapaxes(p, -1, -2), g[ix], out=dv[ix])
@@ -383,16 +399,29 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU, `x * phi(x)`.
+
+    `phi` is built in one buffer, which then becomes the output. Under an
+    active tape the derivative `phi + x * pdf` is computed first and is the
+    one array the backward keeps, so neither the input nor `phi` outlives
+    the forward. Without a tape it is not computed."""
     xd = x.data
-    phi = 0.5 * (1.0 + erf(xd * x.dtype.type(_INV_SQRT2)))
-    out = Tensor._wrap((xd * phi).astype(x.dtype, copy=False))
+    # out= keeps a 0-d input's phi an array that the in-place ops can write
+    phi = np.multiply(xd, x.dtype.type(_INV_SQRT2), out=np.empty_like(xd))
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    if _active is None:
+        phi *= xd
+        return Tensor._wrap(phi)
+    pdf = np.exp(-0.5 * xd * xd) * x.dtype.type(_INV_SQRT2PI)
+    dgelu = phi + xd * pdf
+    phi *= xd
 
     def backward(g):
-        pdf = np.exp(-0.5 * xd * xd) * x.dtype.type(_INV_SQRT2PI)
-        return (g * (phi + xd * pdf),)
+        return (g * dgelu,)
 
-    return _record(out, (x,), backward)
+    return _record(Tensor._wrap(phi), (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import importlib.util
 import json
 import math
 import struct
+import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +124,11 @@ def test_gelu_matches_erf_formula():
     got = nm.gelu(t64(x)).data
     want = 0.5 * x * (1 + erf(x / np.sqrt(2)))
     assert np.allclose(got, want, atol=1e-12)
+    # a 0-d input keeps working under and outside a tape
+    with GradTape():
+        y = nm.gelu(t64(0.5))
+    assert np.isclose(y.item(), 0.5 * 0.5 * (1 + erf(0.5 / np.sqrt(2))), atol=1e-12)
+    assert nm.gelu(t64(0.5)).item() == y.item()
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +392,91 @@ def test_unused_param_gets_zero_gradient_of_same_shape():
     assert ga.shape == (2, 3)
     assert gb.shape == (4,)
     assert np.all(gb == 0)
+
+
+# ---------------------------------------------------------------------------
+# what the tape keeps alive
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("consumer", ["broadcast_add", "gelu"])
+def test_an_intermediate_no_backward_reads_is_freed_under_a_live_tape(consumer):
+    # broadcast_add's backward reads only the bias shape, gelu's only its own
+    # derivative: neither needs the matmul output it consumes
+    rng = np.random.default_rng(5)
+    x, w, b = (_rand(rng, s) for s in ((3, 4), (4, 5), (5,)))
+    with GradTape() as tape:
+        y = nm.matmul(x, w)
+        freed = weakref.ref(y.data)
+        out = nm.broadcast_add(y, b) if consumer == "broadcast_add" else nm.gelu(y)
+        del y
+        assert freed() is None
+        loss = nm.mean_all(out)
+    assert all(g.shape == p.shape for g, p in zip(tape.gradients(loss, [x, w, b]), (x, w, b)))
+
+
+def test_gradient_routing_survives_id_reuse():
+    # Each step's product is dropped once the next step has used it, so
+    # CPython can hand its id to a later step's fresh leaf (as it would to a
+    # dropout mask). A tape keyed by id() would then add that leaf's gradient
+    # to the dropped product's.
+    x = t64(np.arange(1.0, 5.0))
+    steps = 40
+    dropped, reused = set(), 0
+    with GradTape() as tape:
+        h = x
+        for _ in range(steps):
+            leaf = t64(np.full(4, 1.01))
+            reused += id(leaf) in dropped
+            prev = id(h)
+            h = nm.mul(h, leaf)
+            dropped.add(prev)
+        loss = nm.mean_all(h)
+    assert reused > 0
+    (gx,) = tape.gradients(loss, [x])
+    # d/dx mean(x * 1.01**steps) = 1.01**steps / 4
+    np.testing.assert_allclose(gx, np.full(4, 1.01**steps / 4), rtol=1e-12)
+
+
+class _ClosureRecorder(GradTape):
+    def __init__(self):
+        super().__init__()
+        self.backwards = []
+
+    def record(self, out, inputs, backward):
+        self.backwards.append(backward)
+        super().record(out, inputs, backward)
+
+
+def _captured_tensors(fn):
+    """Tensors held by `fn`'s closure cells, following nested functions."""
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, Tensor):
+            found.append(value)
+        elif isinstance(value, types.FunctionType):
+            found += _captured_tensors(value)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES) + ["smooth_l1"])
+def test_no_backward_closure_captures_a_tensor(name):
+    # a captured Tensor pins its activation for as long as the tape lives
+    from mmstt.train import smooth_l1
+
+    rng = np.random.default_rng(9)
+    if name == "smooth_l1":
+        params = [_rand(rng, (3, 4)), _rand(rng, (3, 4))]
+        apply_op = lambda ps: smooth_l1(ps[0], ps[1])
+    else:
+        _, shape_sets, apply_op = OP_CASES[name]
+        params = [_rand(rng, s) for s in shape_sets[0]]
+    with _ClosureRecorder() as tape:
+        apply_op(params)
+    assert tape.backwards
+    for backward in tape.backwards:
+        assert _captured_tensors(backward) == [], f"{name}: {backward.__qualname__}"
 
 
 # ---------------------------------------------------------------------------
