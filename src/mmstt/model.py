@@ -190,10 +190,11 @@ def tokenize(x: Tensor, params, config: ModelConfig) -> Tensor:
 def multi_head_attention(z: Tensor, params, prefix: str, config: ModelConfig, attn_sink=None) -> Tensor:
     """Joint self-attention over the full token sequence, no masking.
 
-    The scores, softmax and weighted sum are one `nm.attention` node that
-    recomputes the (N, N) probabilities per group of (batch, head) slots in
-    backward instead of keeping them, bit-identical to the composed chain.
-    `attn_sink`, when given, receives each layer's full (B, h, N, N) P."""
+    The scores, softmax and weighted sum are one `nm.attention` node. It
+    keeps the output and each row's score max and exponential sum, and its
+    backward recomputes the (N, N) exponentials per group of (batch, head)
+    slots from them. `attn_sink`, when given, receives each layer's full
+    (B, h, N, N) P."""
     b, n, d = z.shape
     h = config.n_heads
     dh = d // h

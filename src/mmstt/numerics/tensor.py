@@ -339,12 +339,16 @@ def _slot_groups(b: int, h: int, n: int, itemsize: int) -> list[tuple[slice, sli
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, sink: list | None = None) -> Tensor:
     """`softmax(q @ kᵀ * scale) @ v` over (B, h, N, dh) slots, as one tape node.
 
-    The probabilities P are computed per group of (batch, head) slots and
-    recomputed in backward, so only the output is kept. Every element goes
-    through the same ops in the same order as the composed `matmul`,
-    `transpose`, `scale`, `softmax_last_axis` and `matmul` chain, so values
-    and gradients are bit-identical to it. When `sink` is a list, the full
-    (B, h, N, N) P is appended to it.
+    Per group of (batch, head) slots the forward forms E = exp(S - m) from
+    the scores S = (q * scale) @ kᵀ and their row max m, multiplies E @ v and
+    divides that (N, dh) product by the row sum l of E; it never normalises
+    the (N, N) block itself. The node keeps m, l and the output, and its
+    backward recomputes E from them, so no (B, h, N, N) array outlives a
+    group. The
+    result agrees with the composed `matmul`, `transpose`, `scale`,
+    `softmax_last_axis` and `matmul` chain to float rounding, not to the
+    byte. When `sink` is a list, the full (B, h, N, N) P = E / l is appended
+    to it.
     """
     if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention: q, k, v must share one (B, h, N, dh) shape, "
@@ -355,41 +359,46 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, sink: list | None =
     s = q.dtype.type(scale)
     groups = _slot_groups(b, h, n, q.dtype.itemsize)
 
-    def probs(ix):
-        p = qd[ix] @ np.swapaxes(kd[ix], -1, -2)
-        p *= s
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        return p
-
+    qs = qd * s
     out = np.empty(q.shape, dtype=q.dtype)
+    m = np.empty((b, h, n, 1), dtype=q.dtype)
+    l = np.empty((b, h, n, 1), dtype=q.dtype)
     p_all = None if sink is None else np.empty((b, h, n, n), dtype=q.dtype)
     for ix in groups:
-        p = probs(ix)
-        np.matmul(p, vd[ix], out=out[ix])
+        e = qs[ix] @ np.swapaxes(kd[ix], -1, -2)
+        np.max(e, axis=-1, keepdims=True, out=m[ix])
+        e -= m[ix]
+        np.exp(e, out=e)
+        np.sum(e, axis=-1, keepdims=True, out=l[ix])
+        np.matmul(e, vd[ix], out=out[ix])
         if p_all is not None:
-            p_all[ix] = p
+            np.divide(e, l[ix], out=p_all[ix])
+    out /= l
     if sink is not None:
         sink.append(p_all)
 
     def backward(g):
+        # With P = E / l: dv = Pᵀ g, dS = P ∘ (g vᵀ - D) with D = rowsum(g ∘ out),
+        # dq = s dS k and dk = s dSᵀ q; each 1/l is moved onto an (N, dh) operand
+        qs = qd * s
+        qsl = qs / l
+        gl = g / l
+        d = (g * out).sum(axis=-1, keepdims=True)
         dq = np.empty(qd.shape, dtype=g.dtype)
-        # dk is handed on as a view of (B, h, dh, N), the layout the chain's
-        # kᵀ gradient had: sums over it downstream (the bias gradient) follow
-        # memory order, so another layout changes their rounding
-        dk_t = np.empty((b, h, dh, n), dtype=g.dtype)
+        dk = np.empty(qd.shape, dtype=g.dtype)
         dv = np.empty(qd.shape, dtype=g.dtype)
         for ix in groups:
-            p = probs(ix)
-            np.matmul(np.swapaxes(p, -1, -2), g[ix], out=dv[ix])
+            e = qs[ix] @ np.swapaxes(kd[ix], -1, -2)
+            e -= m[ix]
+            np.exp(e, out=e)
+            np.matmul(np.swapaxes(e, -1, -2), gl[ix], out=dv[ix])
             ds = g[ix] @ np.swapaxes(vd[ix], -1, -2)
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= s
+            ds -= d[ix]
+            ds *= e
             np.matmul(ds, kd[ix], out=dq[ix])
-            np.matmul(np.swapaxes(qd[ix], -1, -2), ds, out=dk_t[ix])
-        return dq, np.swapaxes(dk_t, -1, -2), dv
+            np.matmul(np.swapaxes(ds, -1, -2), qsl[ix], out=dk[ix])
+        dq *= s / l
+        return dq, dk, dv
 
     return _record(Tensor._wrap(out), (q, k, v), backward)
 
@@ -397,31 +406,89 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, sink: list | None =
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# float32 rational erf(u) ≈ u P(u²) / Q(u²) on u in [-4, 4] (the coefficients
+# of Eigen's and XLA's float32 erf), highest power first
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+    -1.42647390514189e-02))
+# float32 elements per chunk of `_gelu_float32`, so its temporaries stay in L2
+_GELU_CHUNK = 65536
+
+
+def _horner(coeffs, z, out):
+    np.multiply(z, coeffs[0], out=out)
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= z
+        out += c
+    return out
+
+
+def _gelu_float32(xd: np.ndarray, dgelu: np.ndarray | None) -> np.ndarray:
+    """GELU of a float32 array through the rational erf, chunk by chunk; when
+    `dgelu` is given, the derivative `phi + x * pdf` is written into it in
+    the same loop."""
+    flat = xd.reshape(-1)
+    out = np.empty(xd.shape, dtype=np.float32)
+    out_flat = out.reshape(-1)
+    d_flat = None if dgelu is None else dgelu.reshape(-1)
+    bufs = [np.empty(min(flat.size, _GELU_CHUNK), dtype=np.float32) for _ in range(4)]
+    for i in range(0, flat.size, _GELU_CHUNK):
+        x = flat[i:i + _GELU_CHUNK]
+        u, u2, phi, den = (buf[:x.size] for buf in bufs)
+        np.multiply(x, np.float32(_INV_SQRT2), out=u)
+        np.clip(u, -4.0, 4.0, out=u)
+        np.multiply(u, u, out=u2)
+        _horner(_ERF_P, u2, phi)
+        phi *= u
+        phi /= _horner(_ERF_Q, u2, den)   # erf(x / √2)
+        phi *= 0.5
+        phi += 0.5
+        if d_flat is not None:
+            pdf = np.multiply(x, x, out=u2)
+            pdf *= -0.5
+            np.exp(pdf, out=pdf)
+            pdf *= np.float32(_INV_SQRT2PI)
+            pdf *= x
+            np.add(phi, pdf, out=d_flat[i:i + x.size])
+        np.multiply(x, phi, out=out_flat[i:i + x.size])
+    return out
+
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU, `x * phi(x)`.
+    """GELU, `x * phi(x)` with `phi` the standard normal CDF, 0.5 (1 + erf(x / √2)).
 
-    `phi` is built in one buffer, which then becomes the output. Under an
-    active tape the derivative `phi + x * pdf` is computed first and is the
-    one array the backward keeps, so neither the input nor `phi` outlives
-    the forward. Without a tape it is not computed."""
+    float32 input takes a rational float32 erf evaluated in cache-sized
+    chunks; it agrees with the float64 formula to about 2.5e-7 max(1, |x|).
+    float64 input, the gradient-check mode, takes `scipy.special.erf`. Under
+    an active tape the derivative `phi + x * pdf` is computed in the forward
+    and is the one array the backward keeps, so neither the input nor `phi`
+    outlives the forward. Without a tape it is not computed."""
     xd = x.data
-    # out= keeps a 0-d input's phi an array that the in-place ops can write
-    phi = np.multiply(xd, x.dtype.type(_INV_SQRT2), out=np.empty_like(xd))
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
-    if _active is None:
+    dgelu = None if _active is None else np.empty(xd.shape, dtype=xd.dtype)
+    if xd.dtype == np.float32:
+        out = _gelu_float32(xd, dgelu)
+    else:
+        # out= keeps a 0-d input's phi an array that the in-place ops can write
+        phi = np.multiply(xd, x.dtype.type(_INV_SQRT2), out=np.empty_like(xd))
+        erf(phi, out=phi)
+        phi += 1.0
+        phi *= 0.5
+        if dgelu is not None:
+            pdf = np.exp(-0.5 * xd * xd) * x.dtype.type(_INV_SQRT2PI)
+            np.add(phi, xd * pdf, out=dgelu)
         phi *= xd
-        return Tensor._wrap(phi)
-    pdf = np.exp(-0.5 * xd * xd) * x.dtype.type(_INV_SQRT2PI)
-    dgelu = phi + xd * pdf
-    phi *= xd
+        out = phi
+    if dgelu is None:
+        return Tensor._wrap(out)
 
     def backward(g):
         return (g * dgelu,)
 
-    return _record(Tensor._wrap(phi), (x,), backward)
+    return _record(Tensor._wrap(out), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +537,6 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full = np.zeros(in_shape, dtype=g.dtype)
         full[idx] = g
         return (full,)
-
-    return _record(out, (x,), backward)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    """Mean over every element, producing a scalar tensor."""
-    out = Tensor._wrap(np.asarray(x.data.mean(), dtype=x.dtype))
-    in_shape = x.shape
-    inv_n = 1.0 / x.size
-
-    def backward(g):
-        return (np.full(in_shape, g * inv_n, dtype=g.dtype),)
 
     return _record(out, (x,), backward)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -172,12 +172,6 @@ class GridInterpolator:
             raise RasterizeError(f"expected {n_points} values per column, got shape {values.shape}")
         m = self.grid.working_size
         return (self._weights @ values).reshape(m, m, *values.shape[1:])
-
-
-def interpolate_grid(xy: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Piecewise-linear interpolation of scattered values onto the native grid,
-    nearest-neighbor outside the convex hull."""
-    return GridInterpolator(xy, replace(grid, working_size=grid.native_size))(values)
 
 
 def smooth_series(x: np.ndarray) -> np.ndarray:

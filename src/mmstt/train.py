@@ -4,6 +4,7 @@ seeded shuffling, and best-checkpoint early stopping."""
 from __future__ import annotations
 
 import csv
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, asdict
 
@@ -32,10 +33,12 @@ class TrainConfig:
     val_fraction: float | None = None  # may only restate the cube's split; None uses it
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise TrainError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.weight_decay >= 0:
-            raise TrainError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.learning_rate < math.inf:
+            raise TrainError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise TrainError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+        if not 0 < self.smooth_l1_beta < math.inf:
+            raise TrainError(f"smooth_l1_beta must be finite and > 0, got {self.smooth_l1_beta!r}")
         if self.patience < 1:
             raise TrainError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 0:
@@ -184,6 +187,9 @@ def fit(
             result.total_steps += 1
 
         val_loss = _dataset_loss(params, model_cfg, val_windows, beta, train_cfg.batch_size)
+        if not math.isfinite(val_loss):
+            # a NaN would never count as best, so the initial weights would be returned
+            raise FloatingPointError(f"validation loss is {val_loss} at epoch {epoch}")
         is_best = val_loss < result.best_val_loss
         if is_best:
             result.best_val_loss = val_loss

@@ -284,6 +284,9 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         ("model", "patch_size", 0), ("model", "n_heads", 0), ("train", "max_epochs", -3),
         ("train", "learning_rate", -1), ("spec", "noise_std", -1),
         ("train", "seed", -1), ("spec", "seed", -2),
+        ("train", "smooth_l1_beta", float("nan")), ("train", "smooth_l1_beta", float("inf")),
+        ("train", "smooth_l1_beta", 0), ("train", "learning_rate", float("inf")),
+        ("train", "weight_decay", float("inf")),
     ]
     for i, (config, key, value) in enumerate(bad_values):
         name = f"{config} {key}={value!r}"

@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,10 +24,16 @@ def unit_grid(native=32, working=8):
 # ---------------------------------------------------------------------------
 
 
+def interpolate_grid(xy, values, grid):
+    """Piecewise-linear interpolation of scattered values onto the native grid,
+    nearest-neighbor outside the convex hull."""
+    return rz.GridInterpolator(xy, replace(grid, working_size=grid.native_size))(values)
+
+
 class TestInterpolateGrid:
     def test_constant_field(self):
         xy = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
-        out = rz.interpolate_grid(xy, np.full(4, 2.5), unit_grid())
+        out = interpolate_grid(xy, np.full(4, 2.5), unit_grid())
         assert out.shape == (32, 32)
         assert np.allclose(out, 2.5, atol=1e-12)
 
@@ -38,7 +45,7 @@ class TestInterpolateGrid:
         a, b, c = 2.0, -3.0, 0.5
         values = a * xy[:, 0] + b * xy[:, 1] + c
         grid = unit_grid()
-        out = rz.interpolate_grid(xy, values, grid)
+        out = interpolate_grid(xy, values, grid)
         gx, gy = grid.cell_centers()
         assert np.allclose(out, a * gx + b * gy + c, atol=1e-5)
 
@@ -47,7 +54,7 @@ class TestInterpolateGrid:
         xy = rng.uniform(0, 1, size=(50, 2))
         values = rng.normal(size=50)
         grid = unit_grid(native=24, working=8)
-        out = rz.interpolate_grid(xy, values, grid)
+        out = interpolate_grid(xy, values, grid)
 
         tri = Delaunay(xy)
         gx, gy = grid.cell_centers()
@@ -77,15 +84,15 @@ class TestInterpolateGrid:
         # three sites in the lower-left corner; far cells take the closest value
         xy = np.array([[0.1, 0.1], [0.2, 0.1], [0.1, 0.2]])
         values = np.array([1.0, 2.0, 3.0])
-        out = rz.interpolate_grid(xy, values, unit_grid())
+        out = interpolate_grid(xy, values, unit_grid())
         assert out[0, -1] == 2.0  # top-right cell is nearest to (0.2, 0.1)
 
     def test_too_few_or_collinear_points(self):
         with pytest.raises(RasterizeError, match=">=3"):
-            rz.interpolate_grid(np.array([[0, 0], [1, 1]]), np.array([1.0, 2.0]), unit_grid())
+            interpolate_grid(np.array([[0, 0], [1, 1]]), np.array([1.0, 2.0]), unit_grid())
         xy = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
         with pytest.raises(RasterizeError, match="collinear"):
-            rz.interpolate_grid(xy, np.ones(3), unit_grid())
+            interpolate_grid(xy, np.ones(3), unit_grid())
 
 
 def downsample(x, factor=4):
@@ -286,7 +293,7 @@ class TestBuildCube:
 
         xy = np.array([[p.easting, p.northing] for p in pts])
         rasters = np.stack([
-            downsample(rz.interpolate_grid(xy, np.array([p.series[t] for p in pts]), grid), 4)
+            downsample(interpolate_grid(xy, np.array([p.series[t] for p in pts]), grid), 4)
             for t in range(8)
         ])
         want = rz.smooth_series(rasters)

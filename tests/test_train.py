@@ -168,6 +168,14 @@ class TestFit:
         with pytest.raises(FloatingPointError, match=r"parameter patch_proj\.w$"):
             tr.fit(TINY, TrainConfig(max_epochs=1, batch_size=2), bad, toy_windows(1, seed=9))
 
+    def test_nonfinite_validation_loss_names_the_epoch(self):
+        # a NaN target pixel leaves every gradient finite but every val loss NaN,
+        # which would otherwise return the initial weights as the "best"
+        val = toy_windows(1, seed=9)
+        val[0].target.flat[0] = np.nan
+        with pytest.raises(FloatingPointError, match=r"validation loss is nan at epoch 0$"):
+            tr.fit(TINY, TrainConfig(max_epochs=3, batch_size=2), toy_windows(2), val)
+
 
 def test_write_history_round_trips(tmp_path):
     rows = [tr.EpochStats(0, 0.5, 0.7, True), tr.EpochStats(1, 0.25, 0.71, False)]
