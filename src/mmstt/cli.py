@@ -191,6 +191,11 @@ def cmd_eval(args) -> int:
     if args.windows == "val":
         _, windows = rasterize.split_windows(windows, cube.split)
     nodes = _parse_nodes(args.nodes, cube.values.shape[-1]) if args.nodes else None
+    n_dates = len(cube.calendar)
+    if args.event_time is not None and not 0 <= args.event_time < n_dates:
+        raise ValidationFailure(
+            f"--event-time {args.event_time} lies outside the cube's time axis (0..{n_dates - 1})"
+        )
     report = ev.evaluate(
         ev.predict_windows(params, model_cfg, windows), windows, cube.norm_stats,
         node_pixels=nodes,

@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .model import ModelConfig, forward
 from .numerics import Tensor, save_json
@@ -85,6 +84,8 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         raise EvalError(f"ssim: shapes differ: {a.shape} vs {b.shape}")
     if a.ndim < 2:
         raise EvalError(f"ssim: need (..., H, W) maps, got shape {a.shape}")
+    from scipy.ndimage import uniform_filter  # here, so only scoring pays its import
+
     a = a.astype(np.float64)
     b = b.astype(np.float64)
     maps = (-2, -1)

@@ -8,7 +8,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import erf
 
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 DEFAULT_DTYPE = np.float32
@@ -463,15 +462,18 @@ def gelu(x: Tensor) -> Tensor:
 
     float32 input takes a rational float32 erf evaluated in cache-sized
     chunks; it agrees with the float64 formula to about 2.5e-7 max(1, |x|).
-    float64 input, the gradient-check mode, takes `scipy.special.erf`. Under
-    an active tape the derivative `phi + x * pdf` is computed in the forward
-    and is the one array the backward keeps, so neither the input nor `phi`
+    float64 input, the gradient-check mode, takes `scipy.special.erf`,
+    imported only on that path, so float32 code never loads scipy. Under an
+    active tape the derivative `phi + x * pdf` is computed in the forward and
+    is the one array the backward keeps, so neither the input nor `phi`
     outlives the forward. Without a tape it is not computed."""
     xd = x.data
     dgelu = None if _active is None else np.empty(xd.shape, dtype=xd.dtype)
     if xd.dtype == np.float32:
         out = _gelu_float32(xd, dgelu)
     else:
+        from scipy.special import erf
+
         # out= keeps a 0-d input's phi an array that the in-place ops can write
         phi = np.multiply(xd, x.dtype.type(_INV_SQRT2), out=np.empty_like(xd))
         erf(phi, out=phi)

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .ingest import AcquisitionCalendar, MeasurementPoint
 from .numerics import Tensor, load_json, load_tensor, save_json, save_tensor
@@ -132,12 +130,23 @@ class GridInterpolator:
     working grid, as a sparse (working_size**2, n_points) matrix. Native cells
     take the barycentric weights of their simplex (from `Delaunay.transform`,
     as scipy's linear interpolator computes them), or weight 1 on the nearest
-    site outside the hull; each working pixel averages its native block."""
+    site outside the hull; each working pixel averages its native block. At
+    least one site must lie inside the grid's bbox."""
 
     def __init__(self, xy: np.ndarray, grid: GridSpec):
         xy = np.asarray(xy, dtype=np.float64)
         if xy.ndim != 2 or xy.shape[1] != 2 or xy.shape[0] < 3:
             raise RasterizeError(f"need >=3 (x, y) points, got array of shape {xy.shape}")
+        xmin, ymin, xmax, ymax = grid.bbox
+        x, y = xy.T
+        if not np.any((x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)):
+            raise RasterizeError(
+                f"no point lies inside bbox {grid.bbox}; every pixel would be extrapolated"
+            )
+        # here, so only rasterizing pays their import
+        from scipy import sparse
+        from scipy.spatial import Delaunay, QhullError, cKDTree
+
         self.grid = grid
         try:
             tri = Delaunay(xy)

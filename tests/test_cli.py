@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 
 from mmstt import model as md
 from mmstt.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -256,6 +261,7 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "truncated checkpoint manifest": evaluate(checkpoint=cut_manifest),
         "truncated cube sidecar": evaluate(cut_sidecar),
         "zero working size": rasterize(out / "data.csv", "--working-size", "0"),
+        "bbox that holds no point": rasterize(out / "data.csv", "--bbox", "1e9", "1e9", "2e9", "2e9"),
         "corrupt CSV (field over the csv size limit)": rasterize(long_field),
     }
     messages = {
@@ -274,6 +280,7 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "predict with a checkpoint whose t_in differs from the cube's split": "t_in=3",
         "truncated checkpoint manifest": "cut_manifest/manifest.json",
         "truncated cube sidecar": "cut_sidecar.mmst.json",
+        "bbox that holds no point": "no point lies inside bbox",
     }
     # config values of the wrong JSON type or out of range; the message names key and value
     bad_values = [
@@ -314,7 +321,9 @@ def test_eval_checks_its_flags_before_running_the_model(configs, capsys, monkeyp
     monkeypatch.setattr("mmstt.cli.ev.predict_windows", refuse)
     capsys.readouterr()
     for flags, wanted in ((["--nodes", "2,3;0,8"], "0,8"), (["--nodes", "a,b"], "a,b"),
-                          (["--bins", "0"], "--bins"), (["--bins", "1"], "--bins")):
+                          (["--bins", "0"], "--bins"), (["--bins", "1"], "--bins"),
+                          (["--event-time", "-5"], "-5 lies outside"),
+                          (["--event-time", "100000"], "100000 lies outside")):
         assert main(["eval", "--checkpoint", str(out / "model" / "checkpoint"),
                      "--cube", str(out / "cube.mmst"), "--out-dir", str(tmp_path / "report"),
                      *flags]) == 1, flags
@@ -377,3 +386,32 @@ def test_manifest_written_with_resolved_config(configs):
     assert manifest["resolved_config"]["train"]["learning_rate"] == 1e-3
     assert manifest["resolved_config"]["model"]["grid_size"] == 8
     assert "created_at" in manifest
+
+
+def scipy_modules_loaded_by(script: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running `script`
+    against the package in this checkout."""
+    script += ("\nimport json, sys\n"
+               "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_cold_start_loads_no_scipy(configs):
+    # scipy is imported only where preprocess, eval and float64 GELU call it
+    assert scipy_modules_loaded_by("import mmstt.cli") == []
+
+    tmp_path, paths = configs
+    out = tmp_path / "run"
+    cube = preprocess(paths, out)
+    commands = [
+        ["train", "--cube", str(cube), "--model-config", paths["model"],
+         "--train-config", paths["train"], "--out-dir", str(out / "model")],
+        ["predict", "--checkpoint", str(out / "model" / "checkpoint"), "--cube", str(cube),
+         "--window-start", "0", "--out", str(out / "pred.mmst")],
+    ]
+    script = f"from mmstt.cli import main\nfor argv in {commands!r}:\n    assert main(argv) == 0, argv"
+    assert scipy_modules_loaded_by(script) == []
+    assert (out / "pred.mmst").is_file()

@@ -94,6 +94,16 @@ class TestInterpolateGrid:
         with pytest.raises(RasterizeError, match="collinear"):
             interpolate_grid(xy, np.ones(3), unit_grid())
 
+    def test_bbox_must_hold_a_point(self):
+        # sites wholly outside the bbox would fill every pixel from a nearest site
+        xy = np.array([[0.1, 0.1], [0.9, 0.6], [0.4, 0.8]])
+        far = GridSpec(bbox=(10.0, 10.0, 11.0, 11.0), native_size=8, working_size=8)
+        with pytest.raises(RasterizeError, match="no point lies inside bbox"):
+            rz.GridInterpolator(xy, far)
+        # a partial overlap is legal
+        half = GridSpec(bbox=(0.5, 0.5, 1.5, 1.5), native_size=8, working_size=8)
+        assert rz.GridInterpolator(xy, half)(np.ones(3)).shape == (8, 8)
+
 
 def downsample(x, factor=4):
     """Non-overlapping `factor` x `factor` block mean of a square raster. Each
