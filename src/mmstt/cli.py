@@ -9,6 +9,7 @@ resolved configuration so a run can be reproduced exactly. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import sys
 from pathlib import Path
@@ -75,7 +76,7 @@ def _cube_windows(cube_path, model_cfg, val_fraction=None):
 def cmd_synth(args) -> int:
     spec = synth.RegimeSpec.from_json(load_json(args.spec, "regime spec"))
     if args.seed is not None:
-        spec = synth.RegimeSpec.from_json({**spec.to_json(), "seed": args.seed})
+        spec = dataclasses.replace(spec, seed=args.seed)
     points, calendar = synth.generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -116,7 +117,7 @@ def cmd_train(args) -> int:
     model_cfg = model.ModelConfig.from_json(load_json(args.model_config, "model config"))
     train_cfg = train.TrainConfig.from_json(load_json(args.train_config, "train config"))
     if args.seed is not None:
-        train_cfg = train.TrainConfig.from_json({**train_cfg.to_json(), "seed": args.seed})
+        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     cube, windows = _cube_windows(args.cube, model_cfg, train_cfg.val_fraction)
     train_windows, val_windows = rasterize.split_windows(windows, cube.split)
     result = train.fit(model_cfg, train_cfg, train_windows, val_windows)
@@ -149,7 +150,7 @@ def cmd_predict(args) -> int:
     pred_mm = cube.norm_stats.denormalize(pred, 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_tensor(out, Tensor(pred_mm, dtype=np.float64))
+    save_tensor(out, Tensor._wrap(pred_mm))
     target_dates = cube.calendar.dates[
         args.window_start + model_cfg.t_in: args.window_start + model_cfg.t_in + model_cfg.t_out
     ]

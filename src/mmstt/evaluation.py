@@ -209,14 +209,14 @@ class ForecastReport:
 
 
 def predict_windows(params, config: ModelConfig, windows: list[SampleWindow]) -> np.ndarray:
-    """Stack float32 model forecasts for a list of windows, 16 at a time:
-    (n_windows, T_out, 1, H, W)."""
-    outs = []
+    """Model forecasts for a list of windows, run 16 at a time in float32 and
+    written into one float64 array: (n_windows, T_out, 1, H, W)."""
+    g = config.grid_size
+    out = np.empty((len(windows), config.t_out, 1, g, g))
     for i in range(0, len(windows), 16):
-        chunk = windows[i:i + 16]
-        x = Tensor._wrap(np.stack([w.input for w in chunk]).astype(np.float32))
-        outs.append(np.asarray(forward(x, params, config).data, dtype=np.float64))
-    return np.concatenate(outs, axis=0)
+        x = Tensor._wrap(np.stack([w.input for w in windows[i:i + 16]], dtype=np.float32))
+        out[i:i + 16] = forward(x, params, config).data
+    return out
 
 
 def evaluate(

@@ -28,21 +28,24 @@ class GradCheckReport:
         )
 
 
+# near-zero gradients are compared absolutely, below this relative-error denominator
+DENOM_FLOOR = 1e-3
+SAMPLE_SEED = 0
+
+
 def grad_check(
     f,
     params: list[Tensor],
     eps: float = 1e-5,
     tol: float = 1e-4,
     sample_size: int = 200,
-    rng: np.random.Generator | None = None,
-    denom_floor: float = 1e-3,
 ) -> GradCheckReport:
     """Compare tape gradients of scalar `f(params)` against central differences.
 
-    Checks every parameter entry, or a random subsample of `sample_size`
-    entries when there are more. Must run in float64; finite differences are
-    not trustworthy in float32. The relative error denominator is floored at
-    `denom_floor` so that near-zero gradients are compared absolutely.
+    Checks every parameter entry, or a seeded random subsample of
+    `sample_size` entries when there are more. Must run in float64; finite
+    differences are not trustworthy in float32. The relative error
+    denominator is floored at `DENOM_FLOOR`.
     """
     for i, p in enumerate(params):
         if p.dtype != np.float64:
@@ -58,28 +61,23 @@ def grad_check(
 
     entries = [(pi, ei) for pi, p in enumerate(params) for ei in range(p.size)]
     if len(entries) > sample_size:
-        rng = rng or np.random.default_rng(0)
-        chosen = rng.choice(len(entries), size=sample_size, replace=False)
+        chosen = np.random.default_rng(SAMPLE_SEED).choice(len(entries), size=sample_size,
+                                                           replace=False)
         entries = [entries[int(i)] for i in chosen]
+
+    def probe(pi: int, ei: int, step: float) -> float:
+        bumped = params[pi].data.copy()
+        bumped.flat[ei] += step
+        val = f([*params[:pi], Tensor._wrap(bumped), *params[pi + 1:]]).item()
+        if not np.isfinite(val):
+            raise FloatingPointError(f"grad_check: loss not finite at perturbed param {pi}[{ei}]")
+        return val
 
     report = GradCheckReport(passed=True, max_rel_err=0.0, n_checked=len(entries), tol=tol)
     for pi, ei in entries:
-        base = params[pi].data
-        for sign, store in ((+1.0, "plus"), (-1.0, "minus")):
-            bumped = base.copy()
-            bumped.flat[ei] += sign * eps
-            probe = list(params)
-            probe[pi] = Tensor._wrap(bumped)
-            val = f(probe).item()
-            if not np.isfinite(val):
-                raise FloatingPointError(f"grad_check: loss not finite at perturbed param {pi}[{ei}]")
-            if store == "plus":
-                f_plus = val
-            else:
-                f_minus = val
-        fd = (f_plus - f_minus) / (2.0 * eps)
+        fd = (probe(pi, ei, eps) - probe(pi, ei, -eps)) / (2.0 * eps)
         an = float(analytic[pi].flat[ei])
-        rel = abs(fd - an) / max(abs(fd), abs(an), denom_floor)
+        rel = abs(fd - an) / max(abs(fd), abs(an), DENOM_FLOOR)
         if rel > report.max_rel_err:
             report.max_rel_err = rel
             report.worst_param = pi

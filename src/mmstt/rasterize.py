@@ -28,6 +28,10 @@ class RasterizeError(ValueError):
     pass
 
 
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Raster geometry: fine interpolation grid and coarse working grid."""
@@ -37,6 +41,8 @@ class GridSpec:
     working_size: int = 64
 
     def __post_init__(self):
+        if not (len(self.bbox) == 4 and all(map(_is_finite_number, self.bbox))):
+            raise RasterizeError(f"bbox must be 4 finite numbers, got {self.bbox!r}")
         xmin, ymin, xmax, ymax = self.bbox
         if not (xmax > xmin and ymax > ymin):
             raise RasterizeError(f"degenerate bounding box {self.bbox}")
@@ -205,13 +211,14 @@ def encode_day(d: float) -> tuple[float, float]:
     return math.sin(angle), math.cos(angle)
 
 
-def zscore_fit_apply(cube: np.ndarray, fit_stop: int) -> tuple[np.ndarray, NormStats]:
-    """Standardize channels 0-3 in place-free fashion using statistics computed
-    only over time indices below `fit_stop`. Constant channels are centered and
-    flagged, with std recorded as 1."""
+def zscore_in_place(cube: np.ndarray, fit_stop: int) -> NormStats:
+    """Standardize channels 0-3 of `cube` in place, with statistics computed
+    only over time indices below `fit_stop`. Subtracting the mean and then
+    dividing by the std are the two IEEE operations of `(x - mean) / std`, so
+    the result is bitwise that of a copy, without a second cube in memory.
+    Constant channels are centered and flagged, with std recorded as 1."""
     if fit_stop < 1:
         raise RasterizeError("empty fit range")
-    out = cube.copy()
     stats = NormStats(mean=[], std=[], constant=[])
     for c in range(4):
         region = cube[:fit_stop, c]
@@ -224,8 +231,9 @@ def zscore_fit_apply(cube: np.ndarray, fit_stop: int) -> tuple[np.ndarray, NormS
         stats.mean.append(mean)
         stats.std.append(std)
         stats.constant.append(constant)
-        out[:, c] = (cube[:, c] - mean) / std
-    return out, stats
+        cube[:, c] -= mean
+        cube[:, c] /= std
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +255,9 @@ def build_cube(
 ) -> DataCube:
     """Rasterize points into the normalized 6-channel cube.
 
-    The statistics are fitted on the split's training range, which keeps
+    The cube is allocated once, filled channel by channel and Z-scored in
+    place, so its peak is about one cube plus the rasterized series. The
+    statistics are fitted on the split's training range, which keeps
     validation data out of them.
     """
     if not points:
@@ -273,8 +283,8 @@ def build_cube(
         cube[ti, 4] = f_sin
         cube[ti, 5] = f_cos
 
-    normalized, stats = zscore_fit_apply(cube, split.fit_stop)
-    return DataCube(values=normalized, norm_stats=stats, calendar=calendar, grid=grid, split=split)
+    stats = zscore_in_place(cube, split.fit_stop)
+    return DataCube(values=cube, norm_stats=stats, calendar=calendar, grid=grid, split=split)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +370,12 @@ def save_cube(path, cube: DataCube) -> None:
     save_json(f"{path}.json", sidecar)
 
 
-def _is_finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def load_cube(path) -> DataCube:
     """Read a cube and its sidecar, refusing a tensor whose shape is not
     (len(calendar), 6, working_size, working_size) and statistics that are
     not 4 finite numbers for `mean`, 4 positive finite ones for `std` (with a
-    zero std every forecast scores as perfect) and 4 booleans for `constant`."""
+    zero std every forecast scores as perfect) and 4 booleans for `constant`.
+    Every refusal of a sidecar value names the sidecar."""
     sidecar = load_json(f"{path}.json", "cube sidecar")
     values = load_tensor(path).data
     try:
@@ -380,8 +387,8 @@ def load_cube(path) -> DataCube:
         ):
             entries = raw[key]
             if not (isinstance(entries, list) and len(entries) == 4 and all(map(valid, entries))):
-                raise RasterizeError(f"cube sidecar {path}.json: norm_stats {key} must hold "
-                                     f"4 {kind}, one per Z-scored channel, got {entries!r}")
+                raise RasterizeError(f"norm_stats {key} must hold 4 {kind}, "
+                                     f"one per Z-scored channel, got {entries!r}")
         stats = NormStats(mean=raw["mean"], std=raw["std"], constant=raw["constant"])
         calendar = AcquisitionCalendar(tuple(dt.date.fromisoformat(d) for d in sidecar["calendar"]))
         grid = GridSpec(
@@ -389,17 +396,18 @@ def load_cube(path) -> DataCube:
             native_size=sidecar["native_size"],
             working_size=sidecar["working_size"],
         )
-        expected = (len(calendar), len(CHANNEL_NAMES), grid.working_size, grid.working_size)
-        if values.shape != expected:
-            raise RasterizeError(f"cube {path} has shape {values.shape}; its sidecar "
-                                 f"{path}.json describes {expected}")
         split = sidecar["split"]
         if not split:
-            raise RasterizeError(
-                f"cube sidecar {path}.json has no train/validation split; rerun preprocess")
-        split = plan_split(len(values), split["t_in"], split["t_out"], split["val_fraction"])
+            raise RasterizeError("no train/validation split; rerun preprocess")
+        split = plan_split(len(calendar), split["t_in"], split["t_out"], split["val_fraction"])
     except KeyError as exc:
         raise RasterizeError(f"cube sidecar {path}.json lacks the key {exc}") from None
     except TypeError as exc:
         raise RasterizeError(f"cube sidecar {path}.json holds a value of the wrong type: {exc}") from None
+    except ValueError as exc:  # a bad date, bbox or split; the checks above do not know the file
+        raise RasterizeError(f"cube sidecar {path}.json: {exc}") from None
+    expected = (len(calendar), len(CHANNEL_NAMES), grid.working_size, grid.working_size)
+    if values.shape != expected:
+        raise RasterizeError(f"cube {path} has shape {values.shape}; its sidecar "
+                             f"{path}.json describes {expected}")
     return DataCube(values=values, norm_stats=stats, calendar=calendar, grid=grid, split=split)

@@ -125,8 +125,8 @@ def adamw_step(flat: np.ndarray, grad: np.ndarray, state: AdamWState, lr: float,
 
 
 def _batch(windows: list[SampleWindow]) -> tuple[Tensor, Tensor]:
-    x = np.stack([w.input for w in windows]).astype(np.float32)
-    y = np.stack([w.target for w in windows]).astype(np.float32)
+    x = np.stack([w.input for w in windows], dtype=np.float32)
+    y = np.stack([w.target for w in windows], dtype=np.float32)
     return Tensor._wrap(x), Tensor._wrap(y)
 
 

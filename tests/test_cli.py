@@ -260,7 +260,14 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
             "--window-start", "0", "--out", str(tmp_path / "pred.mmst")],
         "truncated checkpoint manifest": evaluate(checkpoint=cut_manifest),
         "truncated cube sidecar": evaluate(cut_sidecar),
+        "sidecar with a calendar entry that is not a date": evaluate(damaged_cube(
+            "bad_date.mmst", cube.read_bytes(), {**sidecar, "calendar": ["x", *sidecar["calendar"][1:]]})),
+        "sidecar with a 3-number bbox": evaluate(damaged_cube(
+            "short_bbox.mmst", cube.read_bytes(), {**sidecar, "bbox": sidecar["bbox"][:3]})),
+        "sidecar with a text bbox": evaluate(damaged_cube(
+            "text_bbox.mmst", cube.read_bytes(), {**sidecar, "bbox": "abcd"})),
         "zero working size": rasterize(out / "data.csv", "--working-size", "0"),
+        "infinite bbox": rasterize(out / "data.csv", "--bbox", "0", "0", "inf", "inf"),
         "bbox that holds no point": rasterize(out / "data.csv", "--bbox", "1e9", "1e9", "2e9", "2e9"),
         "corrupt CSV (field over the csv size limit)": rasterize(long_field),
     }
@@ -281,6 +288,10 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "truncated checkpoint manifest": "cut_manifest/manifest.json",
         "truncated cube sidecar": "cut_sidecar.mmst.json",
         "bbox that holds no point": "no point lies inside bbox",
+        "sidecar with a calendar entry that is not a date": ("bad_date.mmst.json", "'x'"),
+        "sidecar with a 3-number bbox": ("short_bbox.mmst.json", "bbox"),
+        "sidecar with a text bbox": ("text_bbox.mmst.json", "bbox"),
+        "infinite bbox": "bbox",
     }
     # config values of the wrong JSON type or out of range; the message names key and value
     bad_values = [

@@ -1,4 +1,5 @@
 import datetime as dt
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -232,37 +233,47 @@ class TestZScore:
         cube = rng.normal(size=(20, 6, 4, 4))
         z = (cube[:, 0] - cube[:, 0].mean()) / cube[:, 0].std()
         cube[:, 0] = z
-        out, stats = rz.zscore_fit_apply(cube, 20)
+        stats = rz.zscore_in_place(cube, 20)
         assert abs(stats.mean[0]) < 1e-12
         assert abs(stats.std[0] - 1.0) < 1e-12
-        assert np.allclose(out[:, 0], z)
+        assert np.allclose(cube[:, 0], z)
 
     def test_constant_channel_flagged(self):
         cube = np.zeros((5, 6, 2, 2))
         cube[:, 1] = 7.0
-        out, stats = rz.zscore_fit_apply(cube, 5)
+        stats = rz.zscore_in_place(cube, 5)
         assert stats.constant[1]
         assert stats.std[1] == 1.0
-        assert np.allclose(out[:, 1], 0.0)
+        assert np.allclose(cube[:, 1], 0.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
         cube = rng.normal(loc=5.0, scale=3.0, size=(10, 6, 3, 3))
-        out, stats = rz.zscore_fit_apply(cube, 10)
-        back = stats.denormalize(out[:, 0], 0)
-        assert np.allclose(back, cube[:, 0], atol=1e-6)
+        raw = cube.copy()  # the cube is normalized in place
+        stats = rz.zscore_in_place(cube, 10)
+        back = stats.denormalize(cube[:, 0], 0)
+        assert np.allclose(back, raw[:, 0], atol=1e-6)
 
     def test_fit_range_only(self):
         cube = np.zeros((10, 6, 1, 1))
         cube[:, 0, 0, 0] = np.arange(10.0)
-        out, stats = rz.zscore_fit_apply(cube, 5)
+        stats = rz.zscore_in_place(cube, 5)
         region = np.arange(5.0)
         assert stats.mean[0] == region.mean()
         assert stats.std[0] == region.std()
 
     def test_empty_fit_range(self):
         with pytest.raises(RasterizeError, match="empty"):
-            rz.zscore_fit_apply(np.zeros((5, 6, 2, 2)), 0)
+            rz.zscore_in_place(np.zeros((5, 6, 2, 2)), 0)
+
+    def test_bitwise_equal_to_normalizing_a_copy(self):
+        rng = np.random.default_rng(3)
+        cube = rng.normal(loc=-4.0, scale=7.0, size=(12, 6, 5, 5))
+        raw = cube.copy()
+        stats = rz.zscore_in_place(cube, 8)
+        for c in range(4):
+            assert np.array_equal(cube[:, c], (raw[:, c] - stats.mean[c]) / stats.std[c])
+        assert np.array_equal(cube[:, 4:], raw[:, 4:])
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +292,24 @@ def scatter_points(rng, n_points, calendar, field_fn):
 
 
 class TestBuildCube:
+    def test_peak_memory_stays_below_two_cubes(self):
+        cal = weekly_calendar(120)
+        rng = np.random.default_rng(4)
+        pts = scatter_points(rng, 200, cal, lambda x, y, t: np.sin(0.2 * t + 3.0 * x) * y)
+        grid = unit_grid(native=128, working=32)
+        split = rz.plan_split(120, 10, 10, 0.2)
+        # a first small build does the lazy scipy imports, which are not the cube's
+        rz.build_cube(pts[:20], cal, unit_grid(), split=split)
+        tracemalloc.start()
+        try:
+            cube = rz.build_cube(pts, cal, grid, split=split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the cube is filled and normalized in its one buffer; a normalized
+        # copy alone would put the peak above two cubes
+        assert peak < 2 * cube.values.nbytes, peak / cube.values.nbytes
+
     def test_uniform_points_constant_series(self):
         cal = weekly_calendar(6)
         rng = np.random.default_rng(0)
