@@ -2,7 +2,8 @@
 
 Expected layout: header row with `pid,easting,northing,mean_velocity,
 acceleration,seasonality` followed by one displacement column per acquisition
-named `D_YYYYMMDD` (values in mm). UTF-8, ',' delimiter, '.' decimal point.
+named `D_YYYYMMDD` (values in mm). UTF-8 with or without a byte-order mark,
+',' delimiter, '.' decimal point. A parsed file is one `PointTable`.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 STATIC_COLUMNS = ("pid", "easting", "northing", "mean_velocity", "acceleration", "seasonality")
 DATE_COLUMN_PREFIX = "D_"
@@ -46,21 +49,21 @@ class AcquisitionCalendar:
 
 
 @dataclass
-class MeasurementPoint:
-    """One persistent-scatterer record: location, static priors, displacement series."""
+class PointTable:
+    """Persistent scatterers as columns; row i of every array is point i."""
 
-    point_id: str
-    easting: float
-    northing: float
-    mean_velocity: float   # mm/year
-    acceleration: float    # mm/year^2
-    seasonality: float     # mm amplitude
-    series: list[float] = field(default_factory=list)  # mm, aligned with the calendar
+    ids: list[str]
+    xy: np.ndarray      # (n, 2) easting, northing
+    priors: np.ndarray  # (n, 3) mean_velocity mm/year, acceleration mm/year^2, seasonality mm
+    series: np.ndarray  # (n, T) displacement in mm, aligned with the calendar
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
 class ParseResult:
-    points: list[MeasurementPoint]
+    points: PointTable
     calendar: AcquisitionCalendar
     dropped: list[tuple[int, str]]  # (1-based data row number, reason)
 
@@ -80,22 +83,44 @@ def _parse_date_header(name: str):
 
 def _rows(reader, path):
     """The reader's rows, with a malformed row (such as a field over the csv
-    module's size limit) reported as an IngestError naming its line."""
+    module's size limit) reported as an IngestError naming its line, and
+    text that is not UTF-8 as one naming the file."""
     try:
         yield from reader
     except csv.Error as exc:
         raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _fault(statics: list[str], displacements: list[str]) -> str:
+    """Why a row's numeric cells do not all read as finite floats. Statics
+    are judged before displacements, and the first faulty displacement
+    decides: a blank or non-finite one is missing."""
+    try:
+        values = [float(c) for c in statics]
+    except ValueError as exc:
+        return f"unparseable static field: {exc}"
+    if not all(map(math.isfinite, values)):
+        return "non-finite static field"
+    for raw in map(str.strip, displacements):
+        try:
+            if not (raw and math.isfinite(float(raw))):
+                break
+        except ValueError:
+            return f"unparseable displacement {raw!r}"
+    return "missing displacement"
 
 
 def parse_csv(path) -> ParseResult:
-    """Parse one CSV file into points plus the acquisition calendar.
+    """Parse one CSV file into a point table plus the acquisition calendar.
 
-    Rows with unparseable numeric fields are rejected with row-numbered
-    diagnostics; rows with missing (empty or NaN) displacements are dropped
-    and counted. Both end up in `ParseResult.dropped`.
+    A row whose numeric cells do not all read as finite floats is dropped
+    with its 1-based row number and the reason `_fault` gives; so is a row
+    with the wrong number of fields. A leading byte-order mark is ignored.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = _rows(csv.reader(fh), path)
         try:
             header = next(reader)
@@ -112,7 +137,10 @@ def parse_csv(path) -> ParseResult:
             raise IngestError(f"{path}: no D_YYYYMMDD displacement columns")
         calendar = AcquisitionCalendar(tuple(d for _, d in date_cols))
 
-        points: list[MeasurementPoint] = []
+        n_statics = len(STATIC_COLUMNS) - 1
+        numeric = [col_index[c] for c in STATIC_COLUMNS[1:]] + [i for i, _ in date_cols]
+        ids: list[str] = []
+        rows: list[np.ndarray] = []
         dropped: list[tuple[int, str]] = []
         for row_no, row in enumerate(reader, start=1):
             if not row:
@@ -120,55 +148,32 @@ def parse_csv(path) -> ParseResult:
             if len(row) != len(header):
                 dropped.append((row_no, f"expected {len(header)} fields, got {len(row)}"))
                 continue
+            cells = [row[i] for i in numeric]
             try:
-                statics = [float(row[col_index[c]]) for c in STATIC_COLUMNS[1:]]
-            except ValueError as exc:
-                dropped.append((row_no, f"unparseable static field: {exc}"))
+                values = np.array(cells, dtype=np.float64)  # float() of each cell
+            except ValueError:
+                values = None
+            if values is None or not np.isfinite(values).all():
+                dropped.append((row_no, _fault(cells[:n_statics], cells[n_statics:])))
                 continue
-            if any(not math.isfinite(v) for v in statics):
-                dropped.append((row_no, "non-finite static field"))
-                continue
+            ids.append(row[col_index["pid"]])
+            rows.append(values)
 
-            series: list[float] = []
-            bad = None
-            for i, _ in date_cols:
-                raw = row[i].strip()
-                if raw == "":
-                    bad = (row_no, "missing displacement")
-                    break
-                try:
-                    v = float(raw)
-                except ValueError:
-                    bad = (row_no, f"unparseable displacement {raw!r}")
-                    break
-                if not math.isfinite(v):
-                    bad = (row_no, "missing displacement")
-                    break
-                series.append(v)
-            if bad is not None:
-                dropped.append(bad)
-                continue
-
-            points.append(MeasurementPoint(row[col_index["pid"]], *statics, series=series))
-
+    table = np.array(rows).reshape(len(rows), len(numeric))
+    points = PointTable(ids, table[:, :2], table[:, 2:n_statics], table[:, n_statics:])
     return ParseResult(points=points, calendar=calendar, dropped=dropped)
 
 
-def write_csv(path, points: list[MeasurementPoint], calendar: AcquisitionCalendar) -> None:
+def write_csv(path, points: PointTable, calendar: AcquisitionCalendar) -> None:
     """Write points in the parse_csv layout. Floats are printed with repr so a
     parse of the output reproduces every finite value exactly."""
-    for p in points:
-        if len(p.series) != len(calendar):
-            raise IngestError(
-                f"point {p.point_id}: series length {len(p.series)} != calendar length {len(calendar)}"
-            )
+    if points.series.shape[1] != len(calendar):
+        raise IngestError(f"series length {points.series.shape[1]} != calendar length {len(calendar)}")
     header = list(STATIC_COLUMNS) + [f"D_{d.strftime('%Y%m%d')}" for d in calendar.dates]
+    numbers = np.hstack([points.xy, points.priors, points.series])
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p in points:
-            row = [p.point_id] + [
-                repr(v) for v in (p.easting, p.northing, p.mean_velocity, p.acceleration, p.seasonality)
-            ]
-            row += [repr(v) for v in p.series]
-            writer.writerow(row)
+        for pid, row in zip(points.ids, numbers):
+            # repr of Python floats: a numpy scalar's repr reads np.float64(...)
+            writer.writerow([pid, *map(repr, row.tolist())])

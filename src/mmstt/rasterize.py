@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import AcquisitionCalendar, MeasurementPoint
+from .ingest import AcquisitionCalendar, PointTable
 from .numerics import Tensor, load_json, load_tensor, save_json, save_tensor
 
 CHANNEL_NAMES = ("displacement", "mean_velocity", "acceleration", "seasonality", "f_sin", "f_cos")
@@ -241,14 +241,12 @@ def zscore_in_place(cube: np.ndarray, fit_stop: int) -> NormStats:
 # ---------------------------------------------------------------------------
 
 
-def bbox_of_points(points: list[MeasurementPoint]) -> tuple[float, float, float, float]:
-    xs = [p.easting for p in points]
-    ys = [p.northing for p in points]
-    return min(xs), min(ys), max(xs), max(ys)
+def bbox_of_points(points: PointTable) -> tuple[float, float, float, float]:
+    return (*points.xy.min(axis=0).tolist(), *points.xy.max(axis=0).tolist())
 
 
 def build_cube(
-    points: list[MeasurementPoint],
+    points: PointTable,
     calendar: AcquisitionCalendar,
     grid: GridSpec,
     split: SplitPlan,
@@ -260,23 +258,17 @@ def build_cube(
     statistics are fitted on the split's training range, which keeps
     validation data out of them.
     """
-    if not points:
-        raise RasterizeError("no measurement points")
     t = len(calendar)
-    for p in points:
-        if len(p.series) != t:
-            raise RasterizeError(f"point {p.point_id}: series length != calendar length")
+    if points.series.shape[1] != t:
+        raise RasterizeError(f"series length {points.series.shape[1]} != calendar length {t}")
     if split.val_starts[-1] + split.t_in + split.t_out != t:
         raise RasterizeError(f"split was not planned for a cube of {t} time steps")
 
-    interp = GridInterpolator(np.array([[p.easting, p.northing] for p in points]), grid)
-    series = np.array([p.series for p in points], dtype=np.float64)  # (n_points, T)
-    statics = np.array([[p.mean_velocity, p.acceleration, p.seasonality] for p in points])
-
+    interp = GridInterpolator(points.xy, grid)
     h = w = grid.working_size
     cube = np.empty((t, 6, h, w), dtype=np.float64)
-    cube[:, 0] = smooth_series(np.moveaxis(interp(series), -1, 0))
-    cube[:, 1:4] = np.moveaxis(interp(statics), -1, 0)
+    cube[:, 0] = smooth_series(np.moveaxis(interp(points.series), -1, 0))
+    cube[:, 1:4] = np.moveaxis(interp(points.priors), -1, 0)
 
     for ti, d in enumerate(calendar.days_of_year):
         f_sin, f_cos = encode_day(d)

@@ -2,12 +2,14 @@
 
 The dataclass's annotations are the schema: a key must name a field, and its
 value must have the field's JSON type. A `bool` is not a number, an integer
-is a valid float, `X | None` also takes null, and `tuple[...]` takes a list of
-exactly that many values, stored as a tuple.
+is a valid float, a float must be a finite float64 (Python's JSON reader
+takes NaN, Infinity and integers of any size), `X | None` also takes null,
+and `tuple[...]` takes a list of exactly that many values, stored as a tuple.
 """
 
 from __future__ import annotations
 
+import sys
 import types
 import typing
 from dataclasses import fields
@@ -26,7 +28,7 @@ def _fits(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import schema
-from .ingest import AcquisitionCalendar, MeasurementPoint
+from .ingest import AcquisitionCalendar, PointTable
 
 KINDS = ("periodic", "continuous_subsidence", "coseismic_step", "stable")
 WEEKS_PER_YEAR = 365.25 / 7.0
@@ -47,6 +47,8 @@ class RegimeSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SynthError(f"unknown regime kind {self.kind!r}; expected one of {KINDS}")
+        if not (self.bbox[2] > self.bbox[0] and self.bbox[3] > self.bbox[1]):
+            raise SynthError(f"bbox needs max above min, got {list(self.bbox)}")
         if self.kind == "periodic" and self.period < 2:
             raise SynthError(f"period must be >= 2 steps, got {self.period}")
         if self.kind == "coseismic_step" and not 0 < self.step_time < self.n_dates:
@@ -57,6 +59,10 @@ class RegimeSpec:
             raise SynthError("need at least 3 points")
         if self.n_dates < 2:
             raise SynthError("need at least 2 dates")
+        try:  # the last acquisition date must exist
+            dt.date.fromisoformat(self.start_date) + dt.timedelta(weeks=self.n_dates - 1)
+        except (ValueError, OverflowError) as exc:
+            raise SynthError(f"start_date {self.start_date!r} + {self.n_dates} weeks: {exc}") from None
         if self.radius <= 0:
             raise SynthError("radius must be positive")
         if not self.noise_std >= 0:
@@ -107,7 +113,7 @@ def fit_seasonality(series: np.ndarray, period: float) -> float:
     return float(math.hypot(coef[0], coef[1]))
 
 
-def generate(spec: RegimeSpec) -> tuple[list[MeasurementPoint], AcquisitionCalendar]:
+def generate(spec: RegimeSpec) -> tuple[PointTable, AcquisitionCalendar]:
     """Scatter points uniformly in the bounding box and synthesize their
     displacement series plus self-consistent static features."""
     rng = np.random.default_rng(spec.seed)
@@ -124,22 +130,15 @@ def generate(spec: RegimeSpec) -> tuple[list[MeasurementPoint], AcquisitionCalen
     # regimes, against the annual cycle otherwise
     fit_period = spec.period if spec.kind == "periodic" else WEEKS_PER_YEAR
 
-    points = []
+    priors = np.empty((spec.n_points, 3))
+    series = np.empty((spec.n_points, spec.n_dates))
     for i in range(spec.n_points):
         r2 = (xs[i] - spec.center[0]) ** 2 + (ys[i] - spec.center[1]) ** 2
         envelope = math.exp(-r2 / (2.0 * spec.radius**2))
-        series = envelope * law
+        s = envelope * law
         if spec.noise_std > 0:
-            series = series + rng.normal(0.0, spec.noise_std, size=spec.n_dates)
-        points.append(
-            MeasurementPoint(
-                point_id=f"s{i:05d}",
-                easting=float(xs[i]),
-                northing=float(ys[i]),
-                mean_velocity=fit_velocity(series),
-                acceleration=fit_acceleration(series),
-                seasonality=fit_seasonality(series, fit_period),
-                series=[float(v) for v in series],
-            )
-        )
-    return points, calendar
+            s = s + rng.normal(0.0, spec.noise_std, size=spec.n_dates)
+        series[i] = s
+        priors[i] = fit_velocity(s), fit_acceleration(s), fit_seasonality(s, fit_period)
+    ids = [f"s{i:05d}" for i in range(spec.n_points)]
+    return PointTable(ids, np.column_stack([xs, ys]), priors, series), calendar

@@ -131,7 +131,7 @@ def test_criterion_3_pipeline_invariants():
         stats_ok &= abs(float(region.mean())) < 1e-5
         stats_ok &= abs(float(region.std()) - 1.0) < 1e-4
 
-    raw = np.array([p.series for p in points])
+    raw = points.series
     norm0 = cube.norm_stats.normalize(raw, 0)
     round_ok = bool(np.allclose(cube.norm_stats.denormalize(norm0, 0), raw, atol=1e-6))
 

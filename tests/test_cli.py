@@ -305,6 +305,13 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         ("train", "smooth_l1_beta", float("nan")), ("train", "smooth_l1_beta", float("inf")),
         ("train", "smooth_l1_beta", 0), ("train", "learning_rate", float("inf")),
         ("train", "weight_decay", float("inf")),
+        ("spec", "radius", float("nan")), ("spec", "period", float("nan")),
+        ("spec", "amplitude", float("nan")), ("spec", "amplitude", float("inf")),
+        ("spec", "trend", float("nan")), ("spec", "step_magnitude", float("inf")),
+        ("spec", "center", [float("nan"), 500.0]), ("spec", "bbox", [10, 10, 0, 0]),
+        ("spec", "bbox", [0, 0, float("inf"), 1000]), ("spec", "noise_std", float("inf")),
+        ("spec", "start_date", "2018-13-01"), ("spec", "start_date", "9999-12-01"),
+        ("spec", "amplitude", 10**400),
     ]
     for i, (config, key, value) in enumerate(bad_values):
         name = f"{config} {key}={value!r}"

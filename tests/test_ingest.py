@@ -1,9 +1,10 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 
 from mmstt import ingest
-from mmstt.ingest import AcquisitionCalendar, IngestError, MeasurementPoint
+from mmstt.ingest import AcquisitionCalendar, IngestError, PointTable
 
 
 def write_lines(path, lines):
@@ -26,9 +27,9 @@ def test_counts_points_and_calendar(tmp_path):
     assert len(res.points) == 3
     assert len(res.calendar) == 5
     assert res.n_dropped == 0
-    assert all(len(p.series) == len(res.calendar) for p in res.points)
-    assert res.points[0].point_id == "p1"
-    assert res.points[1].mean_velocity == -1.0
+    assert res.points.series.shape == (3, len(res.calendar))
+    assert res.points.ids[0] == "p1"
+    assert res.points.priors[1, 0] == -1.0
 
 
 def test_nan_displacement_dropped_and_counted(tmp_path):
@@ -38,7 +39,7 @@ def test_nan_displacement_dropped_and_counted(tmp_path):
         "p2,0,0,0,0,0,1,2,3,4,5",
     ])
     res = ingest.parse_csv(f)
-    assert [p.point_id for p in res.points] == ["p2"]
+    assert res.points.ids == ["p2"]
     assert res.n_dropped == 1
     assert res.dropped[0][0] == 1
     assert "missing" in res.dropped[0][1]
@@ -96,20 +97,57 @@ def test_calendar_requires_strictly_increasing_dates():
 
 def test_write_parse_round_trip_exact(tmp_path):
     cal = AcquisitionCalendar((dt.date(2019, 3, 1), dt.date(2019, 3, 9)))
-    pts = [
-        MeasurementPoint("a", 1.25, -3.5, 0.1234567890123456, -7.1e-12, 2.0, series=[0.1, -9.87654321e3]),
-        MeasurementPoint("b", 0.0, 1e6, 1.0 / 3.0, 2.0 / 7.0, 0.0, series=[1e-30, 5.5]),
-    ]
+    pts = PointTable(
+        ["a", "b"],
+        xy=np.array([[1.25, -3.5], [0.0, 1e6]]),
+        priors=np.array([[0.1234567890123456, -7.1e-12, 2.0], [1.0 / 3.0, 2.0 / 7.0, 0.0]]),
+        series=np.array([[0.1, -9.87654321e3], [1e-30, 5.5]]),
+    )
     path = tmp_path / "round.csv"
     ingest.write_csv(path, pts, cal)
     res = ingest.parse_csv(path)
     assert res.calendar.dates == cal.dates
     assert res.n_dropped == 0
-    for orig, back in zip(pts, res.points):
-        assert back.point_id == orig.point_id
-        assert back.easting == orig.easting
-        assert back.northing == orig.northing
-        assert back.mean_velocity == orig.mean_velocity
-        assert back.acceleration == orig.acceleration
-        assert back.seasonality == orig.seasonality
-        assert back.series == orig.series
+    back = res.points
+    assert back.ids == pts.ids
+    assert np.array_equal(back.xy, pts.xy)
+    assert np.array_equal(back.priors, pts.priors)
+    assert np.array_equal(back.series, pts.series)
+
+
+def test_row_with_several_faults_reports_the_first(tmp_path):
+    f = write_lines(tmp_path / "a.csv", [
+        HEADER5,
+        "p1,0,0,0,0,0,1,,x,NaN,5",       # blank before unparseable
+        "p2,0,0,0,0,0,1,NaN,x,,5",       # NaN before unparseable
+        "p3,0,0,0,0,0,1,x,,NaN,5",       # unparseable before blank and NaN
+        "p4,0,inf,0,0,0,1,x,,NaN,5",     # a non-finite static outranks the series
+        "p5,0,0,0,0,0, ,2,3,4,inf",      # blank after stripping, before inf
+        "p6,inf,oops,0,0,0,1,2,3,4,5",   # an unparseable static outranks a non-finite one
+        "p7,0,0,0,0,0,1,2,3,4,5",
+    ])
+    res = ingest.parse_csv(f)
+    assert res.points.ids == ["p7"]
+    assert res.dropped == [
+        (1, "missing displacement"),
+        (2, "missing displacement"),
+        (3, "unparseable displacement 'x'"),
+        (4, "non-finite static field"),
+        (5, "missing displacement"),
+        (6, "unparseable static field: could not convert string to float: 'oops'"),
+    ]
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    f = tmp_path / "excel.csv"
+    f.write_text("\ufeff" + HEADER5 + "\np1,0,0,0,0,0,1,2,3,4,5\n", encoding="utf-8")
+    res = ingest.parse_csv(f)
+    assert res.points.ids == ["p1"]
+    assert res.n_dropped == 0
+
+
+def test_non_utf8_file_is_named(tmp_path):
+    f = tmp_path / "latin1.csv"
+    f.write_bytes((HEADER5 + "\np\xe9,0,0,0,0,0,1,2,3,4,5\n").encode("latin-1"))
+    with pytest.raises(IngestError, match="latin1.csv: not UTF-8 text"):
+        ingest.parse_csv(f)

@@ -8,7 +8,7 @@ from scipy.interpolate import LinearNDInterpolator
 from scipy.spatial import Delaunay, cKDTree
 
 from mmstt import rasterize as rz
-from mmstt.ingest import AcquisitionCalendar, MeasurementPoint
+from mmstt.ingest import AcquisitionCalendar, PointTable
 from mmstt.rasterize import DataCube, GridSpec, RasterizeError
 
 
@@ -283,12 +283,13 @@ class TestZScore:
 
 def scatter_points(rng, n_points, calendar, field_fn):
     """Points with series[t] = field_fn(x, y, t)."""
-    pts = []
-    for k in range(n_points):
+    xy, priors, series = [], [], []
+    for _ in range(n_points):
         x, y = rng.uniform(0, 1, size=2)
-        series = [field_fn(x, y, t) for t in range(len(calendar))]
-        pts.append(MeasurementPoint(f"p{k}", x, y, rng.normal(), rng.normal(), abs(rng.normal()), series))
-    return pts
+        xy.append((x, y))
+        series.append([field_fn(x, y, t) for t in range(len(calendar))])
+        priors.append((rng.normal(), rng.normal(), abs(rng.normal())))
+    return PointTable([f"p{k}" for k in range(n_points)], *map(np.array, (xy, priors, series)))
 
 
 class TestBuildCube:
@@ -299,7 +300,8 @@ class TestBuildCube:
         grid = unit_grid(native=128, working=32)
         split = rz.plan_split(120, 10, 10, 0.2)
         # a first small build does the lazy scipy imports, which are not the cube's
-        rz.build_cube(pts[:20], cal, unit_grid(), split=split)
+        head = PointTable(pts.ids[:20], pts.xy[:20], pts.priors[:20], pts.series[:20])
+        rz.build_cube(head, cal, unit_grid(), split=split)
         tracemalloc.start()
         try:
             cube = rz.build_cube(pts, cal, grid, split=split)
@@ -330,9 +332,8 @@ class TestBuildCube:
         cube = rz.build_cube(pts, cal, grid, split=rz.plan_split(8, 2, 2, 0.2))
         fit = cube.split.fit_stop
 
-        xy = np.array([[p.easting, p.northing] for p in pts])
         rasters = np.stack([
-            downsample(interpolate_grid(xy, np.array([p.series[t] for p in pts]), grid), 4)
+            downsample(interpolate_grid(pts.xy, pts.series[:, t], grid), 4)
             for t in range(8)
         ])
         want = rz.smooth_series(rasters)

@@ -34,11 +34,8 @@ class TestGenerate:
         pts, cal = synth.generate(RegimeSpec(kind="stable", n_points=10, n_dates=20))
         assert len(pts) == 10
         assert len(cal) == 20
-        for p in pts:
-            assert all(v == 0.0 for v in p.series)
-            assert p.mean_velocity == 0.0
-            assert p.acceleration == 0.0
-            assert p.seasonality == 0.0
+        assert np.all(pts.series == 0.0)
+        assert np.all(pts.priors == 0.0)
 
     def test_weekly_cadence(self):
         _, cal = synth.generate(RegimeSpec(kind="stable", n_points=5, n_dates=8))
@@ -49,21 +46,20 @@ class TestGenerate:
         spec = RegimeSpec(kind="periodic", n_points=40, n_dates=120, amplitude=10.0,
                           period=52.0, trend=0.0, noise_std=0.0, seed=3)
         pts, _ = synth.generate(spec)
-        for p in pts:
-            r2 = (p.easting - spec.center[0]) ** 2 + (p.northing - spec.center[1]) ** 2
+        for (x, y), seasonality in zip(pts.xy, pts.priors[:, 2]):
+            r2 = (x - spec.center[0]) ** 2 + (y - spec.center[1]) ** 2
             envelope = math.exp(-r2 / (2 * spec.radius**2))
             if envelope < 1e-3:
                 continue
-            assert p.seasonality == pytest.approx(spec.amplitude * envelope, rel=0.02)
+            assert seasonality == pytest.approx(spec.amplitude * envelope, rel=0.02)
 
     def test_coseismic_jump_is_exact(self):
         spec = RegimeSpec(kind="coseismic_step", n_points=12, n_dates=40, trend=0.5,
                           step_time=25, step_magnitude=30.0, noise_std=0.0, seed=1)
         pts, _ = synth.generate(spec)
-        for p in pts:
-            r2 = (p.easting - spec.center[0]) ** 2 + (p.northing - spec.center[1]) ** 2
+        for (x, y), s in zip(pts.xy, pts.series):
+            r2 = (x - spec.center[0]) ** 2 + (y - spec.center[1]) ** 2
             envelope = math.exp(-r2 / (2 * spec.radius**2))
-            s = np.array(p.series)
             # piecewise constant trend with the jump exactly at step_time
             jump = s[25] - s[24]
             assert jump == pytest.approx(envelope * (30.0 + 0.5), abs=1e-9)
@@ -76,11 +72,10 @@ class TestGenerate:
         spec = RegimeSpec(kind="periodic", n_points=15, n_dates=80, amplitude=6.0,
                           period=26.0, trend=0.2, noise_std=1.0, seed=5)
         pts, _ = synth.generate(spec)
-        for p in pts:
-            s = np.array(p.series)
-            assert p.mean_velocity == synth.fit_velocity(s)
-            assert p.acceleration == synth.fit_acceleration(s)
-            assert p.seasonality == synth.fit_seasonality(s, spec.period)
+        for (velocity, acceleration, seasonality), s in zip(pts.priors, pts.series):
+            assert velocity == synth.fit_velocity(s)
+            assert acceleration == synth.fit_acceleration(s)
+            assert seasonality == synth.fit_seasonality(s, spec.period)
 
     def test_fixed_seed_bit_identical(self):
         spec = RegimeSpec(kind="coseismic_step", n_points=20, n_dates=30,
@@ -88,8 +83,9 @@ class TestGenerate:
         a, cal_a = synth.generate(spec)
         b, cal_b = synth.generate(spec)
         assert cal_a.dates == cal_b.dates
-        for pa, pb in zip(a, b):
-            assert pa == pb
+        assert a.ids == b.ids
+        for column in ("xy", "priors", "series"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_emits_ingest_csv_format(self, tmp_path):
         from mmstt import ingest
@@ -102,4 +98,4 @@ class TestGenerate:
         assert len(res.points) == 8
         assert res.n_dropped == 0
         assert res.calendar.dates == cal.dates
-        assert res.points[0].series == pts[0].series
+        assert np.array_equal(res.points.series[0], pts.series[0])
