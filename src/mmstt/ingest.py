@@ -165,15 +165,16 @@ def parse_csv(path) -> ParseResult:
 
 
 def write_csv(path, points: PointTable, calendar: AcquisitionCalendar) -> None:
-    """Write points in the parse_csv layout. Floats are printed with repr so a
-    parse of the output reproduces every finite value exactly."""
+    """Write points in the parse_csv layout, as csv.writer would. Floats are
+    printed with repr so a parse of the output reproduces every finite value."""
     if points.series.shape[1] != len(calendar):
         raise IngestError(f"series length {points.series.shape[1]} != calendar length {len(calendar)}")
     header = list(STATIC_COLUMNS) + [f"D_{d.strftime('%Y%m%d')}" for d in calendar.dates]
     numbers = np.hstack([points.xy, points.priors, points.series])
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for pid, row in zip(points.ids, numbers):
-            # repr of Python floats: a numpy scalar's repr reads np.float64(...)
-            writer.writerow([pid, *map(repr, row.tolist())])
+            # csv's quoting of a field; a float list's repr joins float reprs by ", "
+            if any(c in pid for c in ',"\r\n'):
+                pid = '"' + pid.replace('"', '""') + '"'
+            fh.write(f"{pid},{repr(row.tolist())[1:-1].replace(', ', ',')}\r\n")

@@ -4,8 +4,9 @@ co-seismic step, and stable ground.
 
 Each point's series is a Gaussian-bowl spatial envelope times a temporal law
 plus optional noise. The static features are then fitted back from the series
-itself (slope, quadratic coefficient, period-matched sinusoid amplitude), so
-the static channels genuinely describe the dynamics.
+itself (slope, quadratic coefficient, period-matched sinusoid amplitude), in
+one least-squares solve for every point, so the static channels genuinely
+describe the dynamics.
 """
 
 from __future__ import annotations
@@ -63,8 +64,10 @@ class RegimeSpec:
             dt.date.fromisoformat(self.start_date) + dt.timedelta(weeks=self.n_dates - 1)
         except (ValueError, OverflowError) as exc:
             raise SynthError(f"start_date {self.start_date!r} + {self.n_dates} weeks: {exc}") from None
-        if self.radius <= 0:
-            raise SynthError("radius must be positive")
+        if not 0 < 2.0 * self.radius * self.radius < math.inf:  # the envelope's width
+            raise SynthError(f"radius needs 2 * radius**2 positive and finite, got {self.radius!r}")
+        if self.kind != "stable" and not math.isfinite(float(self.trend) * (self.n_dates - 1)):
+            raise SynthError(f"trend {self.trend!r} over {self.n_dates} dates leaves float range")
         if not self.noise_std >= 0:
             raise SynthError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.seed < 0:
@@ -90,27 +93,19 @@ def temporal_law(spec: RegimeSpec, t: np.ndarray) -> np.ndarray:
     return law.astype(np.float64)
 
 
-def fit_velocity(series: np.ndarray) -> float:
-    """Least-squares slope in mm/year (weekly cadence)."""
-    t = np.arange(series.size, dtype=np.float64)
-    slope = np.polyfit(t, series, 1)[0]
-    return float(slope * WEEKS_PER_YEAR)
-
-
-def fit_acceleration(series: np.ndarray) -> float:
-    """Quadratic-fit t^2 coefficient in mm/year^2."""
-    t = np.arange(series.size, dtype=np.float64)
-    coeff = np.polyfit(t, series, 2)[0]
-    return float(coeff * WEEKS_PER_YEAR**2)
-
-
-def fit_seasonality(series: np.ndarray, period: float) -> float:
-    """Amplitude of the least-squares sinusoid at the given period (steps)."""
-    t = np.arange(series.size, dtype=np.float64)
+def fit_priors(series: np.ndarray, period: float) -> np.ndarray:
+    """Every row's priors (n, T) -> (n, 3) through one (T, 4) operator: the
+    least-squares slope in mm/year, a quadratic's t^2 coefficient in mm/year^2,
+    and the amplitude of the sinusoid at `period` steps beside a line."""
+    t = np.arange(series.shape[1], dtype=np.float64)
+    years = t / WEEKS_PER_YEAR  # the polynomials' units, and better conditioned than weeks
     omega = 2.0 * math.pi / period
-    basis = np.column_stack([np.sin(omega * t), np.cos(omega * t), np.ones_like(t), t])
-    coef, *_ = np.linalg.lstsq(basis, series, rcond=None)
-    return float(math.hypot(coef[0], coef[1]))
+    # minimum-norm solves with np.linalg.lstsq's cutoff, so a short series is no special case
+    line, quadratic, sinusoid = (np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(np.float64).eps) for a in (
+        np.vander(years, 2), np.vander(years, 3),
+        np.column_stack([np.sin(omega * t), np.cos(omega * t), np.ones_like(t), t])))
+    coef = series @ np.column_stack([line[0], quadratic[0], *sinusoid[:2]])
+    return np.column_stack([coef[:, :2], np.hypot(coef[:, 2], coef[:, 3])])
 
 
 def generate(spec: RegimeSpec) -> tuple[PointTable, AcquisitionCalendar]:
@@ -124,21 +119,24 @@ def generate(spec: RegimeSpec) -> tuple[PointTable, AcquisitionCalendar]:
     xmin, ymin, xmax, ymax = spec.bbox
     xs = rng.uniform(xmin, xmax, size=spec.n_points)
     ys = rng.uniform(ymin, ymax, size=spec.n_points)
-    t = np.arange(spec.n_dates, dtype=np.float64)
-    law = temporal_law(spec, t)
-    # seasonality is fitted against the generating period for periodic
-    # regimes, against the annual cycle otherwise
-    fit_period = spec.period if spec.kind == "periodic" else WEEKS_PER_YEAR
-
-    priors = np.empty((spec.n_points, 3))
-    series = np.empty((spec.n_points, spec.n_dates))
-    for i in range(spec.n_points):
-        r2 = (xs[i] - spec.center[0]) ** 2 + (ys[i] - spec.center[1]) ** 2
-        envelope = math.exp(-r2 / (2.0 * spec.radius**2))
-        s = envelope * law
+    cx, cy = spec.center
+    try:  # Python floats, so each envelope has the bits of a scalar loop
+        r2 = [(x - cx) ** 2 + (y - cy) ** 2 for x, y in zip(xs.tolist(), ys.tolist())]
+    except OverflowError:
+        r2 = [math.inf]
+    if not max(r2) < math.inf:
+        raise SynthError(f"center {list(spec.center)}: squared distances to bbox {list(spec.bbox)} leave float range")
+    envelope = np.array([math.exp(-d / (2.0 * spec.radius**2)) for d in r2])
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        series = envelope[:, None] * temporal_law(spec, np.arange(spec.n_dates, dtype=np.float64))
         if spec.noise_std > 0:
-            s = s + rng.normal(0.0, spec.noise_std, size=spec.n_dates)
-        series[i] = s
-        priors[i] = fit_velocity(s), fit_acceleration(s), fit_seasonality(s, fit_period)
+            noise = rng.normal(0.0, spec.noise_std, size=series.shape)
+            if not np.isfinite(noise).all():
+                raise SynthError(f"noise_std {spec.noise_std!r} draws non-finite noise")
+            series += noise
+        # seasonality at the generating period, or else the annual cycle
+        priors = fit_priors(series, spec.period if spec.kind == "periodic" else WEEKS_PER_YEAR)
+    if not (np.isfinite(series).all() and np.isfinite(priors).all()):
+        raise SynthError("the spec gives non-finite displacements or priors")
     ids = [f"s{i:05d}" for i in range(spec.n_points)]
     return PointTable(ids, np.column_stack([xs, ys]), priors, series), calendar

@@ -4,6 +4,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,8 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         ("spec", "bbox", [0, 0, float("inf"), 1000]), ("spec", "noise_std", float("inf")),
         ("spec", "start_date", "2018-13-01"), ("spec", "start_date", "9999-12-01"),
         ("spec", "amplitude", 10**400),
+        ("spec", "radius", 1e-200), ("spec", "radius", 1e200), ("spec", "center", [1e200, 0]),
+        ("spec", "trend", 1e307), ("spec", "noise_std", 1e308),
     ]
     for i, (config, key, value) in enumerate(bad_values):
         name = f"{config} {key}={value!r}"
@@ -327,6 +330,20 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         wanted = messages.get(name, "")
         for part in wanted if isinstance(wanted, tuple) else (wanted,):
             assert part in err, (name, err)
+
+
+def test_synth_of_a_two_date_series_prints_one_line(configs, capsys):
+    # too few dates for the quadratic and the sinusoid fits: no RankWarning
+    tmp_path, paths = configs
+    spec = tmp_path / "two_dates.json"
+    spec.write_text(json.dumps({**json.loads(Path(paths["spec"]).read_text()), "n_dates": 2}))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "two.csv")]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1 and out.startswith("synth: wrote 60 points x 2 dates"), out
+    assert err == ""
 
 
 def test_eval_checks_its_flags_before_running_the_model(configs, capsys, monkeypatch):

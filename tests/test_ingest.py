@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 
 import numpy as np
@@ -113,6 +114,30 @@ def test_write_parse_round_trip_exact(tmp_path):
     assert np.array_equal(back.xy, pts.xy)
     assert np.array_equal(back.priors, pts.priors)
     assert np.array_equal(back.series, pts.series)
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    cal = AcquisitionCalendar((dt.date(2019, 3, 1), dt.date(2019, 3, 9), dt.date(2019, 3, 17)))
+    pts = PointTable(
+        ["a,b", 'q"t', " lead", "", "line\nbreak", "cr\rhere", "plain"],
+        xy=np.array([[-0.0, 1e-30], [1e300, 5e-324], [0.1, -2.5], [3.0, 4.0], [5.0, 6.0],
+                     [7.0, 8.0], [9.0, 1e6]]),
+        priors=np.tile([-0.0, 1.0 / 3.0, 2.5e-310], (7, 1)),
+        series=np.array([[1e-30, -0.0, 5e-324], [1e300, -1e300, 0.0], [0.1, 0.2, 0.3],
+                         [1.0, 2.0, 3.0], [-4.0, -5.0, -6.0], [1e16, 1e-16, 123456789.0],
+                         [np.pi, -np.e, 7.0]]),
+    )
+    path = tmp_path / "fast.csv"
+    ingest.write_csv(path, pts, cal)
+
+    reference = tmp_path / "reference.csv"
+    with reference.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(ingest.STATIC_COLUMNS) + ["D_20190301", "D_20190309", "D_20190317"])
+        for pid, row in zip(pts.ids, np.hstack([pts.xy, pts.priors, pts.series])):
+            writer.writerow([pid, *map(repr, row.tolist())])
+    assert path.read_bytes() == reference.read_bytes()
+    assert ingest.parse_csv(path).points.ids == pts.ids
 
 
 def test_row_with_several_faults_reports_the_first(tmp_path):
