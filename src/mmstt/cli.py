@@ -150,6 +150,8 @@ def cmd_predict(args) -> int:
     pred_mm = cube.norm_stats.denormalize(pred, 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    # the old sidecar goes first, so a failed save leaves none to misdescribe the new tensor
+    Path(f"{out}.json").unlink(missing_ok=True)
     save_tensor(out, Tensor._wrap(pred_mm))
     target_dates = cube.calendar.dates[
         args.window_start + model_cfg.t_in: args.window_start + model_cfg.t_in + model_cfg.t_out
@@ -292,6 +294,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (FloatingPointError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     except (ValidationFailure, ValueError, OSError) as exc:
         # IngestError, RasterizeError, SynthError, ModelError, TrainError,

@@ -190,11 +190,11 @@ def tokenize(x: Tensor, params, config: ModelConfig) -> Tensor:
 def multi_head_attention(z: Tensor, params, prefix: str, config: ModelConfig, attn_sink=None) -> Tensor:
     """Joint self-attention over the full token sequence, no masking.
 
-    The scores, softmax and weighted sum are one `nm.attention` node. It
-    keeps the output and each row's score max and exponential sum, and its
-    backward recomputes the (N, N) exponentials per group of (batch, head)
-    slots from them. `attn_sink`, when given, receives each layer's full
-    (B, h, N, N) P."""
+    The scores, scaled by 1/sqrt(dh), the softmax and the weighted sum are
+    one `nm.attention(q, k, v)` node. It keeps the output and each row's
+    score max and exponential sum, and its backward recomputes the (N, N)
+    exponentials from them, whole batches or one (batch, head) slot at a
+    time. `attn_sink`, when given, receives each layer's full (B, h, N, N) P."""
     b, n, d = z.shape
     h = config.n_heads
     dh = d // h
@@ -205,7 +205,7 @@ def multi_head_attention(z: Tensor, params, prefix: str, config: ModelConfig, at
         return nm.transpose(nm.reshape(y, (b, n, h, dh)), (0, 2, 1, 3))  # (B, h, N, dh)
 
     q, k, v = heads("q"), heads("k"), heads("v")
-    ctx = nm.attention(q, k, v, 1.0 / math.sqrt(dh), sink=attn_sink)   # (B, h, N, dh)
+    ctx = nm.attention(q, k, v, sink=attn_sink)   # (B, h, N, dh)
     ctx = nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
     return nm.broadcast_add(nm.matmul(ctx, params[prefix + "attn.wo"]), params[prefix + "attn.bo"])
 

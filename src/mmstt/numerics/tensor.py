@@ -269,21 +269,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+# Added to each row's variance by `layer_norm`, so a constant row maps to beta.
+_LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row zero-mean/unit-variance over the last axis, then affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layer_norm: gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    if eps <= 0:
-        raise ValueError(f"layer_norm: eps must be > 0, got {eps}")
     _check_same_dtype("layer_norm", x, gamma, beta)
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(_LAYER_NORM_EPS))
     xhat = xc * inv
     out = Tensor._wrap(xhat * gamma.data + beta.data)
     gd = gamma.data
@@ -321,29 +323,16 @@ def softmax_last_axis(x: Tensor) -> Tensor:
 _ATTN_GROUP_BYTES = 512 * 1024
 
 
-def _slot_groups(b: int, h: int, n: int, itemsize: int) -> list[tuple[slice, slice]]:
-    """(batch, head) index pairs that cover every slot of a (b, h, n, n) score
-    array in groups of at most `_ATTN_GROUP_BYTES`. A group is whole batches
-    or a run of heads within one batch, so its views of q, k and v are not
-    copied."""
-    slot = n * n * itemsize
-    heads = max(1, min(h, _ATTN_GROUP_BYTES // slot))
-    if heads < h:
-        return [(slice(i, i + 1), slice(j, min(j + heads, h)))
-                for i in range(b) for j in range(0, h, heads)]
-    batches = max(1, _ATTN_GROUP_BYTES // (h * slot))
-    return [(slice(i, min(i + batches, b)), slice(None)) for i in range(0, b, batches)]
+def attention(q: Tensor, k: Tensor, v: Tensor, sink: list | None = None) -> Tensor:
+    """`softmax(q @ kᵀ / sqrt(dh)) @ v` over (B, h, N, dh) slots, as one tape node.
 
-
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, sink: list | None = None) -> Tensor:
-    """`softmax(q @ kᵀ * scale) @ v` over (B, h, N, dh) slots, as one tape node.
-
-    Per group of (batch, head) slots the forward forms E = exp(S - m) from
-    the scores S = (q * scale) @ kᵀ and their row max m, multiplies E @ v and
-    divides that (N, dh) product by the row sum l of E; it never normalises
-    the (N, N) block itself. The node keeps m, l and the output, and its
-    backward recomputes E from them, so no (B, h, N, N) array outlives a
-    group. The
+    A slot is one (batch, head) pair's N x N score block. The node walks runs
+    of whole batches up to `_ATTN_GROUP_BYTES` of scores, or one slot at a
+    time when one batch's slots exceed it; any walk gives the same bits. Per
+    block it forms E = exp(S - m) from the scores S = (q / sqrt(dh)) @ kᵀ and
+    their row max m, and divides E @ v by the row sum l of E, never
+    normalising E itself. It keeps m, l and the output; its backward
+    recomputes E from them, so no (B, h, N, N) array outlives a block. The
     result agrees with the composed `matmul`, `transpose`, `scale`,
     `softmax_last_axis` and `matmul` chain to float rounding, not to the
     byte. When `sink` is a list, the full (B, h, N, N) P = E / l is appended
@@ -355,8 +344,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, sink: list | None =
     _check_same_dtype("attention", q, k, v)
     qd, kd, vd = q.data, k.data, v.data
     b, h, n, dh = q.shape
-    s = q.dtype.type(scale)
-    groups = _slot_groups(b, h, n, q.dtype.itemsize)
+    s = q.dtype.type(1.0 / math.sqrt(dh))
+    batches = _ATTN_GROUP_BYTES // (h * n * n * q.dtype.itemsize)
+    if batches:
+        groups = [slice(i, i + batches) for i in range(0, b, batches)]
+    else:
+        groups = list(np.ndindex(b, h))
 
     qs = qd * s
     out = np.empty(q.shape, dtype=q.dtype)

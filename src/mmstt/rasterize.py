@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -75,9 +76,6 @@ class NormStats:
     mean: list[float]
     std: list[float]
     constant: list[bool]
-
-    def normalize(self, x: np.ndarray, channel: int) -> np.ndarray:
-        return (x - self.mean[channel]) / self.std[channel]
 
     def denormalize(self, x: np.ndarray, channel: int = 0) -> np.ndarray:
         return x * self.std[channel] + self.mean[channel]
@@ -343,7 +341,10 @@ def split_windows(windows: list[SampleWindow], plan: SplitPlan) -> tuple[list[Sa
 
 def save_cube(path, cube: DataCube) -> None:
     """Write `<path>` (binary tensor) and `<path>.json` (semantic sidecar).
-    The tensor is written from a read-only view of the cube, not a copy."""
+    The tensor is written from a read-only view of the cube, not a copy. The
+    old sidecar goes first and the new one last, so a save that stops
+    part-way leaves a cube `load_cube` refuses, not one with stale statistics."""
+    Path(f"{path}.json").unlink(missing_ok=True)
     save_tensor(path, Tensor._wrap(np.asarray(cube.values, dtype=np.float64).view()))
     sidecar = {
         "channels": list(CHANNEL_NAMES),

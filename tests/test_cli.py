@@ -12,6 +12,7 @@ import pytest
 
 from mmstt import model as md
 from mmstt.cli import main
+from mmstt.numerics import save_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -110,6 +111,30 @@ def test_predict_window(configs):
     sidecar = json.loads((out / "pred.mmst.json").read_text())
     assert sidecar["units"] == "mm"
     assert len(sidecar["target_dates"]) == 2
+
+
+def test_a_predict_whose_sidecar_fails_leaves_no_sidecar(configs, monkeypatch, capsys):
+    tmp_path, paths = configs
+    out = run_pipeline(tmp_path, paths)
+    pred = out / "pred.mmst"
+
+    def predict(start):
+        return main(["predict", "--checkpoint", str(out / "model" / "checkpoint"),
+                     "--cube", str(out / "cube.mmst"), "--window-start", start, "--out", str(pred)])
+
+    assert predict("0") == 0
+
+    def full_disk_on_sidecar(target, obj):
+        if str(target) == f"{pred}.json":
+            raise OSError(28, "No space left on device", str(target))
+        save_json(target, obj)
+
+    monkeypatch.setattr("mmstt.cli.save_json", full_disk_on_sidecar)
+    capsys.readouterr()
+    assert predict("1") == 1
+    assert "No space left on device" in capsys.readouterr().err
+    # window 0's target dates must not describe window 1's forecast
+    assert not Path(f"{pred}.json").exists()
 
 
 def test_rerun_is_byte_identical(configs):
@@ -330,6 +355,32 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         wanted = messages.get(name, "")
         for part in wanted if isinstance(wanted, tuple) else (wanted,):
             assert part in err, (name, err)
+
+
+def test_out_of_memory_exits_2_without_traceback(configs, capsys):
+    # each size asks numpy for one array of 2**48 bytes, past the 2**47-byte
+    # user address space of 64-bit Linux, so the request fails at once
+    tmp_path, paths = configs
+    out = run_pipeline(tmp_path, paths)
+
+    def json_file(name, config, **extra):
+        p = tmp_path / name
+        p.write_text(json.dumps({**json.loads(Path(paths[config]).read_text()), **extra}))
+        return str(p)
+
+    cases = {
+        "synth n_points=2**45": ["synth", "--spec", json_file("huge_spec.json", "spec", n_points=2**45),
+                                 "--out", str(tmp_path / "x.csv")],
+        "train ffn_hidden=2**42": ["train", "--cube", str(out / "cube.mmst"), "--model-config",
+                                   json_file("huge_model.json", "model", ffn_hidden=2**42),
+                                   "--train-config", paths["train"],
+                                   "--out-dir", str(tmp_path / "model")],
+    }
+    capsys.readouterr()
+    for name, argv in cases.items():
+        assert main(argv) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1, (name, err)
 
 
 def test_synth_of_a_two_date_series_prints_one_line(configs, capsys):

@@ -94,13 +94,13 @@ class TestLayerNorm:
         assert np.allclose(out.data, 0.0)
 
     def test_two_point_symmetry(self):
-        out = nm.layer_norm(t64([[1.0, 3.0]]), t64(np.ones(2)), t64(np.zeros(2)), eps=1e-12)
+        out = nm.layer_norm(t64([[1.0, 3.0]]), t64(np.ones(2)), t64(np.zeros(2)))
         assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
 
     def test_output_statistics(self):
         rng = np.random.default_rng(11)
         x = t64(rng.normal(size=(6, 64)))
-        out = nm.layer_norm(x, t64(np.ones(64)), t64(np.zeros(64)), eps=1e-5).data
+        out = nm.layer_norm(x, t64(np.ones(64)), t64(np.zeros(64))).data
         assert np.all(np.abs(out.mean(axis=-1)) < 1e-6)
         assert np.all(np.abs(out.var(axis=-1) - 1.0) < 1e-4)
 
@@ -191,16 +191,11 @@ def _split_heads(x, bias, h):
     return nm.transpose(nm.reshape(y, (b, n, h, d // h)), (0, 2, 1, 3))
 
 
-# (2, 2, 16, 8) is one group; (3, 4, 160, 8) is one batch per group; (2, 4, 200, 8)
-# and (1, 2, 300, 8) split each batch's heads into runs of 3 + 1 and 1 + 1 (in float32)
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(2, 2, 16, 8), (3, 4, 160, 8), (2, 4, 200, 8), (1, 2, 300, 8)])
-def test_attention_is_close_to_the_composed_chain(shape, dtype):
-    # attention normalises its (N, dh) output by the row sums rather than P,
-    # so it agrees with the chain to rounding, not to the byte
-    tol = 1e-5 if dtype == np.float32 else 1e-12
+def _attention_runs(shape, dtype, attends):
+    """(values, gradients) of each `attend(q, k, v, sink)` on one random input:
+    the output and the sink's P, then the gradients of the head split's inputs
+    and biases under a fixed linear loss."""
     b, h, n, dh = shape
-    scale = 1.0 / np.sqrt(dh)   # inexact in float32 for dh = 8
     rng = np.random.default_rng(n)
 
     def leaf(*s):
@@ -210,20 +205,37 @@ def test_attention_is_close_to_the_composed_chain(shape, dtype):
     biases = [leaf(h * dh) for _ in range(3)]
     weight = leaf(b, h, n, dh)
     runs = []
-    for fused in (False, True):
+    for attend in attends:
         sink = []
         with GradTape() as tape:
             q, k, v = (_split_heads(x, bias, h) for x, bias in zip(xs, biases))
-            if fused:
-                out = nm.attention(q, k, v, scale, sink=sink)
-            else:
-                p = nm.softmax_last_axis(nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), scale))
-                sink.append(p.data)
-                out = nm.matmul(p, v)
+            out = attend(q, k, v, sink)
             loss = mean_all(nm.mul(out, weight))
         grads = tape.gradients(loss, xs + biases)
         runs.append(([out.data, *sink], grads))
-    (chain_values, chain_grads), (values, grads) = runs
+    return runs
+
+
+def _fused(q, k, v, sink):
+    return nm.attention(q, k, v, sink=sink)
+
+
+# in float32, (2, 2, 16, 8) is one group and (3, 4, 160, 8) one batch per group;
+# (2, 4, 200, 8) and (1, 2, 300, 8) are walked one (batch, head) slot at a time
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 2, 16, 8), (3, 4, 160, 8), (2, 4, 200, 8), (1, 2, 300, 8)])
+def test_attention_is_close_to_the_composed_chain(shape, dtype):
+    # attention normalises its (N, dh) output by the row sums rather than P,
+    # so it agrees with the chain to rounding, not to the byte
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    scale = 1.0 / np.sqrt(shape[-1])   # inexact in float32 for dh = 8
+
+    def chain(q, k, v, sink):
+        p = nm.softmax_last_axis(nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), scale))
+        sink.append(p.data)
+        return nm.matmul(p, v)
+
+    (chain_values, chain_grads), (values, grads) = _attention_runs(shape, dtype, [chain, _fused])
     for old, new in zip(chain_values + chain_grads, values + grads):
         assert old.dtype == new.dtype == dtype
         assert old.shape == new.shape
@@ -236,16 +248,35 @@ def test_attention_is_close_to_the_composed_chain(shape, dtype):
         assert np.abs(new - old).max() <= tol * largest
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 4, 200, 8), (3, 4, 160, 8), (16, 2, 32, 4), (1, 2, 300, 8)])
+def test_attention_walk_never_changes_a_bit(shape, dtype, monkeypatch):
+    # _ATTN_GROUP_BYTES is a speed and memory policy: one (batch, head) slot
+    # at a time (budget 1) and all slots in one group must give the same bytes
+    def walked(budget):
+        def attend(q, k, v, sink):
+            monkeypatch.setattr("mmstt.numerics.tensor._ATTN_GROUP_BYTES", budget)
+            return _fused(q, k, v, sink)
+        return attend
+
+    (slot_values, slot_grads), (group_values, group_grads) = _attention_runs(
+        shape, dtype, [walked(1), walked(2**40)])
+    for one_slot, one_group in zip(slot_values + slot_grads, group_values + group_grads):
+        assert one_slot.dtype == one_group.dtype == dtype
+        assert one_slot.shape == one_group.shape
+        assert one_slot.tobytes() == one_group.tobytes()
+
+
 def test_attention_without_sink_matches_and_rejects_bad_shapes():
     rng = np.random.default_rng(3)
     q, k, v = (Tensor(rng.normal(size=(1, 2, 5, 4)), dtype=np.float32) for _ in range(3))
     sink = []
-    assert np.array_equal(nm.attention(q, k, v, 0.5).data, nm.attention(q, k, v, 0.5, sink=sink).data)
+    assert np.array_equal(nm.attention(q, k, v).data, nm.attention(q, k, v, sink=sink).data)
     assert sink[0].shape == (1, 2, 5, 5)
     with pytest.raises(ShapeError, match="attention"):
-        nm.attention(q, k, Tensor(np.zeros((1, 2, 5, 3)), dtype=np.float32), 0.5)
+        nm.attention(q, k, Tensor(np.zeros((1, 2, 5, 3)), dtype=np.float32))
     with pytest.raises(ShapeError, match="dtype"):
-        nm.attention(q, k, Tensor(np.zeros((1, 2, 5, 4))), 0.5)
+        nm.attention(q, k, Tensor(np.zeros((1, 2, 5, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +368,7 @@ OP_CASES = {
     "layer_norm": (
         3,
         [((4, 6), (6,), (6,)), ((2, 3, 5), (5,), (5,)), ((7,), (7,), (7,))],
-        lambda ps: nm.layer_norm(ps[0], ps[1], ps[2], eps=1e-5),
+        lambda ps: nm.layer_norm(*ps),
     ),
     "softmax": (1, [((4,),), ((3, 5),), ((2, 2, 4),)], lambda ps: nm.softmax_last_axis(ps[0])),
     "gelu": (1, [((6,),), ((3, 4),), ((2, 3, 2),)], lambda ps: nm.gelu(ps[0])),
@@ -354,11 +385,11 @@ OP_CASES = {
     ),
     "mean_all": (1, [((5,),), ((3, 4),), ((2, 3, 2),)], lambda ps: mean_all(ps[0])),
     "scale": (1, [((4,),), ((2, 3),), ((2, 2, 2),)], lambda ps: nm.scale(ps[0], 1.7)),
-    # (2, 2, 200, 4) in float64 is four groups of one slot
+    # (2, 2, 200, 4) in float64 is walked one slot at a time, four slots
     "attention": (
         3,
         [((1, 1, 3, 4),) * 3, ((2, 3, 5, 2),) * 3, ((2, 2, 200, 4),) * 3],
-        lambda ps: nm.attention(ps[0], ps[1], ps[2], 0.7),
+        lambda ps: nm.attention(*ps),
     ),
     "conv1x1": (
         3,
@@ -433,7 +464,8 @@ def test_grad_check_errors_on_nonfinite_loss():
 
 
 def test_traced_bench_ops_resolve_in_numerics():
-    # perfbench/spans.py wraps each of these by name; a missing one breaks `--trace 1`
+    # perfbench/spans.py wraps these ops and ~30 other mmstt functions by name;
+    # a missing one breaks `--trace 1`
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -441,6 +473,15 @@ def test_traced_bench_ops_resolve_in_numerics():
     from mmstt.numerics import tensor
 
     assert [op for op in spans.NUMERIC_OPS if not callable(getattr(tensor, op, None))] == []
+    # installing looks up every other function it wraps by name as well; a
+    # failed install leaves its patches in place, so undo them here
+    tracer = spans.Tracer()
+    try:
+        with tracer.installed():
+            pass
+    finally:
+        for owner, attr, original in reversed(tracer._patches):
+            setattr(owner, attr, original)
 
 
 def test_unused_param_gets_zero_gradient_of_same_shape():

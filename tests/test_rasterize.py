@@ -444,3 +444,23 @@ def test_cube_save_load_round_trip(tmp_path):
     assert back.grid == cube.grid
     assert back.split == cube.split
     assert back.split.fit_stop == 7
+
+
+def test_a_save_whose_sidecar_fails_leaves_a_cube_load_refuses(tmp_path, monkeypatch):
+    # cube B must not load with cube A's statistics, which are ~4x off here
+    cal = weekly_calendar(12)
+    pts = scatter_points(np.random.default_rng(21), 10, cal, lambda x, y, t: x + 0.1 * t)
+    split = rz.plan_split(12, 2, 2, 0.25)
+    path = tmp_path / "cube.mmst"
+    rz.save_cube(path, rz.build_cube(pts, cal, unit_grid(), split=split))
+    pts_b = replace(pts, series=4.0 * pts.series)
+    cube_b = rz.build_cube(pts_b, cal, unit_grid(), split=split)
+
+    def full_disk(target, obj):
+        raise OSError(28, "No space left on device", str(target))
+
+    monkeypatch.setattr(rz, "save_json", full_disk)
+    with pytest.raises(OSError):
+        rz.save_cube(path, cube_b)
+    with pytest.raises(FileNotFoundError, match="cube sidecar not found"):
+        rz.load_cube(path)
