@@ -191,10 +191,12 @@ def multi_head_attention(z: Tensor, params, prefix: str, config: ModelConfig, at
     """Joint self-attention over the full token sequence, no masking.
 
     The scores, scaled by 1/sqrt(dh), the softmax and the weighted sum are
-    one `nm.attention(q, k, v)` node. It keeps the output and each row's
-    score max and exponential sum, and its backward recomputes the (N, N)
-    exponentials from them, whole batches or one (batch, head) slot at a
-    time. `attn_sink`, when given, receives each layer's full (B, h, N, N) P."""
+    one `nm.attention(q, k, v)` node. It takes base-2 exponentials in one
+    score buffer that it reuses across the walk, and keeps the output and
+    each row's base-2 score max and exponential sum. Its backward recomputes
+    the (N, N) exponentials from them, with both softmax shifts folded into
+    its matrix products, whole batches or one (batch, head) slot at a time.
+    `attn_sink`, when given, receives each layer's full (B, h, N, N) P."""
     b, n, d = z.shape
     h = config.n_heads
     dh = d // h

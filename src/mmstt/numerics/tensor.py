@@ -321,6 +321,17 @@ def softmax_last_axis(x: Tensor) -> Tensor:
 
 # Largest score block `attention` holds at once, in bytes (one slot may exceed it).
 _ATTN_GROUP_BYTES = 512 * 1024
+# log2(e): `attention` folds it into its query scale, so its exponentials are base 2
+_LOG2E = 1.0 / math.log(2.0)
+
+
+def _with_column(x: np.ndarray, col) -> np.ndarray:
+    """`x` with one more entry on its last axis, filled from `col` (a scalar or
+    an array with one entry on its last axis)."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,), dtype=x.dtype)
+    out[..., :-1] = x
+    out[..., -1:] = col
+    return out
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, sink: list | None = None) -> Tensor:
@@ -328,40 +339,56 @@ def attention(q: Tensor, k: Tensor, v: Tensor, sink: list | None = None) -> Tens
 
     A slot is one (batch, head) pair's N x N score block. The node walks runs
     of whole batches up to `_ATTN_GROUP_BYTES` of scores, or one slot at a
-    time when one batch's slots exceed it; any walk gives the same bits. Per
-    block it forms E = exp(S - m) from the scores S = (q / sqrt(dh)) @ kᵀ and
-    their row max m, and divides E @ v by the row sum l of E, never
-    normalising E itself. It keeps m, l and the output; its backward
-    recomputes E from them, so no (B, h, N, N) array outlives a block. The
-    result agrees with the composed `matmul`, `transpose`, `scale`,
-    `softmax_last_axis` and `matmul` chain to float rounding, not to the
-    byte. When `sink` is a list, the full (B, h, N, N) P = E / l is appended
-    to it.
+    time when one batch's slots exceed it; any walk gives the same bits. Each
+    block is formed in one buffer reused across the walk. Per block it takes
+    the base-2 scores S₂ = (q log2(e) / sqrt(dh)) @ kᵀ and their row max m,
+    forms E = exp2(S₂ - m) in place, takes the row sums l = E @ 1 as a
+    matrix-vector product, and divides E @ v by l, never normalising E
+    itself. It keeps m, l and the output; its backward recomputes E from
+    them, so no (B, h, N, N) array outlives a block. The backward folds each
+    softmax shift into a matrix product through one extra operand column,
+    S₂ - m from [q log2(e) / sqrt(dh) | -m] and [k | 1], dP - D from
+    [dO | -D] and [v | 1], and writes E and dS into two buffers of its own,
+    reused across its walk. The result agrees with the composed `matmul`,
+    `transpose`, `scale`, `softmax_last_axis` and `matmul` chain to float
+    rounding, not to the byte. When `sink` is a list, the full (B, h, N, N)
+    P = E / l is appended to it. A zero h, N or dh is refused; a zero B
+    gives an empty output.
     """
     if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention: q, k, v must share one (B, h, N, dh) shape, "
                          f"got {q.shape}, {k.shape}, {v.shape}")
+    if 0 in q.shape[1:]:
+        raise ShapeError(f"attention: h, N and dh must be positive, got shape {q.shape}")
     _check_same_dtype("attention", q, k, v)
     qd, kd, vd = q.data, k.data, v.data
     b, h, n, dh = q.shape
     s = q.dtype.type(1.0 / math.sqrt(dh))
+    s2 = q.dtype.type(_LOG2E / math.sqrt(dh))
     batches = _ATTN_GROUP_BYTES // (h * n * n * q.dtype.itemsize)
     if batches:
         groups = [slice(i, i + batches) for i in range(0, b, batches)]
+        block = (min(batches, b), h, n, n)
     else:
         groups = list(np.ndindex(b, h))
+        block = (n, n)
 
-    qs = qd * s
+    # a block's scores go to buf[:rows]: all of it for a slot, fewer rows for
+    # a short last run of batches
+    buf = np.empty(block, dtype=q.dtype)
+    qs2 = qd * s2
+    ones = np.ones((n, 1), dtype=q.dtype)
     out = np.empty(q.shape, dtype=q.dtype)
     m = np.empty((b, h, n, 1), dtype=q.dtype)
     l = np.empty((b, h, n, 1), dtype=q.dtype)
     p_all = None if sink is None else np.empty((b, h, n, n), dtype=q.dtype)
     for ix in groups:
-        e = qs[ix] @ np.swapaxes(kd[ix], -1, -2)
+        rows = len(kd[ix])
+        e = np.matmul(qs2[ix], np.swapaxes(kd[ix], -1, -2), out=buf[:rows])
         np.max(e, axis=-1, keepdims=True, out=m[ix])
         e -= m[ix]
-        np.exp(e, out=e)
-        np.sum(e, axis=-1, keepdims=True, out=l[ix])
+        np.exp2(e, out=e)
+        np.matmul(e, ones, out=l[ix])
         np.matmul(e, vd[ix], out=out[ix])
         if p_all is not None:
             np.divide(e, l[ix], out=p_all[ix])
@@ -371,21 +398,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, sink: list | None = None) -> Tens
 
     def backward(g):
         # With P = E / l: dv = Pᵀ g, dS = P ∘ (g vᵀ - D) with D = rowsum(g ∘ out),
-        # dq = s dS k and dk = s dSᵀ q; each 1/l is moved onto an (N, dh) operand
-        qs = qd * s
-        qsl = qs / l
+        # dq = s dS k and dk = s dSᵀ q. Each shift rides in an extra column:
+        # [q s2 | -m] [k | 1]ᵀ = S₂ - m and [g | -D] [v | 1]ᵀ = g vᵀ - D. Each
+        # 1/l is moved onto an (N, dh) operand.
+        qm = _with_column(qd * s2, -m)
+        k1 = _with_column(kd, 1)
+        gd = _with_column(g, -(g * out).sum(axis=-1, keepdims=True))
+        v1 = _with_column(vd, 1)
         gl = g / l
-        d = (g * out).sum(axis=-1, keepdims=True)
+        qsl = qd * (s / l)
+        e_buf = np.empty(block, dtype=g.dtype)
+        ds_buf = np.empty(block, dtype=g.dtype)
         dq = np.empty(qd.shape, dtype=g.dtype)
         dk = np.empty(qd.shape, dtype=g.dtype)
         dv = np.empty(qd.shape, dtype=g.dtype)
         for ix in groups:
-            e = qs[ix] @ np.swapaxes(kd[ix], -1, -2)
-            e -= m[ix]
-            np.exp(e, out=e)
+            rows = len(kd[ix])
+            e = np.matmul(qm[ix], np.swapaxes(k1[ix], -1, -2), out=e_buf[:rows])
+            np.exp2(e, out=e)
             np.matmul(np.swapaxes(e, -1, -2), gl[ix], out=dv[ix])
-            ds = g[ix] @ np.swapaxes(vd[ix], -1, -2)
-            ds -= d[ix]
+            ds = np.matmul(gd[ix], np.swapaxes(v1[ix], -1, -2), out=ds_buf[:rows])
             ds *= e
             np.matmul(ds, kd[ix], out=dq[ix])
             np.matmul(np.swapaxes(ds, -1, -2), qsl[ix], out=dk[ix])

@@ -1,8 +1,10 @@
 import importlib.util
 import json
 import math
+import re
 import struct
 import types
+import warnings
 import weakref
 from pathlib import Path
 
@@ -252,19 +254,53 @@ def test_attention_is_close_to_the_composed_chain(shape, dtype):
 @pytest.mark.parametrize("shape", [(2, 4, 200, 8), (3, 4, 160, 8), (16, 2, 32, 4), (1, 2, 300, 8)])
 def test_attention_walk_never_changes_a_bit(shape, dtype, monkeypatch):
     # _ATTN_GROUP_BYTES is a speed and memory policy: one (batch, head) slot
-    # at a time (budget 1) and all slots in one group must give the same bytes
+    # at a time (budget 1), runs of two batches and all slots in one group
+    # must give the same bytes. Two batches over (3, 4, 160, 8) leave a short
+    # last run, the one walk that fills only part of the reused score buffer.
     def walked(budget):
         def attend(q, k, v, sink):
             monkeypatch.setattr("mmstt.numerics.tensor._ATTN_GROUP_BYTES", budget)
             return _fused(q, k, v, sink)
         return attend
 
-    (slot_values, slot_grads), (group_values, group_grads) = _attention_runs(
-        shape, dtype, [walked(1), walked(2**40)])
-    for one_slot, one_group in zip(slot_values + slot_grads, group_values + group_grads):
-        assert one_slot.dtype == one_group.dtype == dtype
-        assert one_slot.shape == one_group.shape
-        assert one_slot.tobytes() == one_group.tobytes()
+    _, h, n, _ = shape
+    two_batches = 2 * h * n * n * np.dtype(dtype).itemsize
+    (slot_values, slot_grads), *others = _attention_runs(
+        shape, dtype, [walked(1), walked(two_batches), walked(2**40)])
+    for values, grads in others:
+        for one_slot, other in zip(slot_values + slot_grads, values + grads):
+            assert one_slot.dtype == other.dtype == dtype
+            assert one_slot.shape == other.shape
+            assert one_slot.tobytes() == other.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_of_extreme_score_rows_stays_finite(dtype):
+    # score rows spanning up to +-1e4, and one constant row: the forward's
+    # exponentials peak at exactly 1, the backward's, from the shift folded
+    # into a product, only at about 1; neither may overflow or warn
+    b, h, n, dh = 1, 2, 16, 4
+    rng = np.random.default_rng(6)
+    q = np.zeros((b, h, n, dh))
+    q[..., 0] = np.linspace(-2e4, 2e4, n)
+    q[0, 1, 3, 0] = 0.0
+    k = rng.normal(size=(b, h, n, dh))
+    k[..., 0] = np.linspace(-1.0, 1.0, n)
+    scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(dh)
+    assert np.ptp(scores, axis=-1).max() == pytest.approx(2e4)
+    assert np.ptp(scores[0, 1, 3]) == 0.0
+    tensors = [Tensor(a, dtype=dtype) for a in (q, k, rng.normal(size=q.shape))]
+    weight = Tensor(rng.normal(size=q.shape), dtype=dtype)
+    sink = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with GradTape() as tape:
+            out = nm.attention(*tensors, sink=sink)
+            loss = mean_all(nm.mul(out, weight))
+        grads = tape.gradients(loss, tensors)
+    assert np.isfinite(out.data).all()
+    assert all(np.isfinite(g).all() for g in grads)
+    assert np.abs(sink[0].sum(axis=-1) - 1.0).max() <= 1e-6
 
 
 def test_attention_without_sink_matches_and_rejects_bad_shapes():
@@ -277,6 +313,22 @@ def test_attention_without_sink_matches_and_rejects_bad_shapes():
         nm.attention(q, k, Tensor(np.zeros((1, 2, 5, 3)), dtype=np.float32))
     with pytest.raises(ShapeError, match="dtype"):
         nm.attention(q, k, Tensor(np.zeros((1, 2, 5, 4))))
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 5, 4), (1, 0, 5, 4), (1, 2, 0, 4), (1, 2, 5, 0)])
+def test_attention_of_a_zero_extent(shape):
+    q, k, v = (Tensor(np.zeros(shape), dtype=np.float32) for _ in range(3))
+    if shape[0]:
+        message = f"attention: h, N and dh must be positive, got shape {shape}"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            nm.attention(q, k, v)
+        return
+    # an empty batch has an empty output and empty gradients
+    with _ClosureRecorder() as tape:
+        out = nm.attention(q, k, v)
+    assert out.shape == shape
+    (backward,) = tape.backwards
+    assert [g.shape for g in backward(np.zeros(shape, dtype=np.float32))] == [shape] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +600,15 @@ class _ClosureRecorder(GradTape):
         super().record(out, inputs, backward)
 
 
-def _captured_tensors(fn):
-    """Tensors held by `fn`'s closure cells, following nested functions."""
+def _captured(fn, kind):
+    """Instances of `kind` held by `fn`'s closure cells, following nested functions."""
     found = []
     for cell in fn.__closure__ or ():
         value = cell.cell_contents
-        if isinstance(value, Tensor):
+        if isinstance(value, kind):
             found.append(value)
         elif isinstance(value, types.FunctionType):
-            found += _captured_tensors(value)
+            found += _captured(value, kind)
     return found
 
 
@@ -576,7 +628,21 @@ def test_no_backward_closure_captures_a_tensor(name):
         apply_op(params)
     assert tape.backwards
     for backward in tape.backwards:
-        assert _captured_tensors(backward) == [], f"{name}: {backward.__qualname__}"
+        assert _captured(backward, Tensor) == [], f"{name}: {backward.__qualname__}"
+
+
+def test_attention_backward_keeps_only_q_k_v_the_output_and_row_stats():
+    # the scaled query and the backward's (B, h, N, dh + 1) operands are
+    # rebuilt per call: one captured would stay pinned, per layer, for as
+    # long as the tape lives
+    rng = np.random.default_rng(4)
+    q, k, v = (_rand(rng, (2, 3, 5, 4)) for _ in range(3))
+    with _ClosureRecorder() as tape:
+        out = nm.attention(q, k, v)
+    (backward,) = tape.backwards
+    kept = _captured(backward, np.ndarray)
+    others = [a.shape for a in kept if not any(a is t.data for t in (q, k, v, out))]
+    assert others == [(2, 3, 5, 1)] * 2   # the row max m and row sum l
 
 
 # ---------------------------------------------------------------------------
