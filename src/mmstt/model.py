@@ -303,12 +303,18 @@ def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
 def load_checkpoint(directory) -> tuple[ModelConfig, "OrderedDict[str, Tensor]", dict]:
     """The config, the parameters as `param_views` of the one flat
     `params.mmst` vector, and the manifest. The views look into a read-only
-    map of the file, so a write into loaded parameters raises."""
+    map of the file, so a write into loaded parameters raises. A vector
+    holding NaN or ±inf is refused, naming the first parameter that does."""
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = nm.load_json(path, "checkpoint manifest")
     if not isinstance(manifest.get("config"), dict):
         raise ModelError(f"checkpoint manifest {path} must hold a config object")
     config = ModelConfig.from_json(manifest["config"])
-    flat = nm.load_tensor(directory / "params.mmst").data
-    return config, param_views(config, flat, directory / "params.mmst"), manifest
+    path = directory / "params.mmst"
+    flat = nm.load_tensor(path).data
+    params = param_views(config, flat, path)
+    if not np.isfinite(flat).all():
+        bad = next(name for name, p in params.items() if not np.isfinite(p.data).all())
+        raise ModelError(f"checkpoint {path} holds a non-finite value in parameter {bad}")
+    return config, params, manifest

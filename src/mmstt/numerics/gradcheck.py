@@ -24,7 +24,9 @@ class GradCheckReport:
         status = "PASS" if self.passed else "FAIL"
         return (
             f"grad_check {status}: max_rel_err={self.max_rel_err:.3e} over "
-            f"{self.n_checked} entries (tol={self.tol:.1e})"
+            f"{self.n_checked} entries (tol={self.tol:.1e}); worst at param "
+            f"{self.worst_param}, entry {self.worst_entry}: finite difference "
+            f"{self.worst_fd:.6e}, tape {self.worst_analytic:.6e}"
         )
 
 

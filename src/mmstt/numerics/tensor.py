@@ -72,9 +72,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor._wrap(self.data.astype(dtype))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
@@ -438,7 +435,7 @@ _ERF_P = tuple(np.float32(c) for c in (
 _ERF_Q = tuple(np.float32(c) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
     -1.42647390514189e-02))
-# float32 elements per chunk of `_gelu_float32`, so its temporaries stay in L2
+# elements per chunk of `gelu`'s loop, so its float32 temporaries stay in L2
 _GELU_CHUNK = 65536
 
 
@@ -451,64 +448,48 @@ def _horner(coeffs, z, out):
     return out
 
 
-def _gelu_float32(xd: np.ndarray, dgelu: np.ndarray | None) -> np.ndarray:
-    """GELU of a float32 array through the rational erf, chunk by chunk; when
-    `dgelu` is given, the derivative `phi + x * pdf` is written into it in
-    the same loop."""
-    flat = xd.reshape(-1)
-    out = np.empty(xd.shape, dtype=np.float32)
-    out_flat = out.reshape(-1)
-    d_flat = None if dgelu is None else dgelu.reshape(-1)
-    bufs = [np.empty(min(flat.size, _GELU_CHUNK), dtype=np.float32) for _ in range(4)]
-    for i in range(0, flat.size, _GELU_CHUNK):
-        x = flat[i:i + _GELU_CHUNK]
-        u, u2, phi, den = (buf[:x.size] for buf in bufs)
-        np.multiply(x, np.float32(_INV_SQRT2), out=u)
-        np.clip(u, -4.0, 4.0, out=u)
-        np.multiply(u, u, out=u2)
-        _horner(_ERF_P, u2, phi)
-        phi *= u
-        phi /= _horner(_ERF_Q, u2, den)   # erf(x / √2)
-        phi *= 0.5
-        phi += 0.5
-        if d_flat is not None:
-            pdf = np.multiply(x, x, out=u2)
-            pdf *= -0.5
-            np.exp(pdf, out=pdf)
-            pdf *= np.float32(_INV_SQRT2PI)
-            pdf *= x
-            np.add(phi, pdf, out=d_flat[i:i + x.size])
-        np.multiply(x, phi, out=out_flat[i:i + x.size])
-    return out
-
-
 def gelu(x: Tensor) -> Tensor:
     """GELU, `x * phi(x)` with `phi` the standard normal CDF, 0.5 (1 + erf(x / √2)).
 
-    float32 input takes a rational float32 erf evaluated in cache-sized
-    chunks; it agrees with the float64 formula to about 2.5e-7 max(1, |x|).
-    float64 input, the gradient-check mode, takes `scipy.special.erf`,
-    imported only on that path, so float32 code never loads scipy. Under an
-    active tape the derivative `phi + x * pdf` is computed in the forward and
-    is the one array the backward keeps, so neither the input nor `phi`
-    outlives the forward. Without a tape it is not computed."""
+    Both dtypes run one loop over cache-sized chunks and differ only in how
+    erf is formed. float32 takes a rational float32 erf; it agrees with the
+    float64 formula to about 2.5e-7 max(1, |x|). float64, the gradient-check
+    mode, takes `scipy.special.erf`, imported only for float64, so float32
+    code never loads scipy. Under an active tape the derivative
+    `phi + x * pdf` is written in the same loop and is the one array the
+    backward keeps, so neither the input nor `phi` outlives the forward.
+    Without a tape it is not computed."""
     xd = x.data
-    dgelu = None if _active is None else np.empty(xd.shape, dtype=xd.dtype)
-    if xd.dtype == np.float32:
-        out = _gelu_float32(xd, dgelu)
-    else:
+    f = xd.dtype.type
+    if f is np.float64:
         from scipy.special import erf
-
-        # out= keeps a 0-d input's phi an array that the in-place ops can write
-        phi = np.multiply(xd, x.dtype.type(_INV_SQRT2), out=np.empty_like(xd))
-        erf(phi, out=phi)
-        phi += 1.0
+    out = np.empty(xd.shape, dtype=f)
+    dgelu = None if _active is None else np.empty(xd.shape, dtype=f)
+    flat, out_flat = xd.reshape(-1), out.reshape(-1)
+    d_flat = None if dgelu is None else dgelu.reshape(-1)
+    bufs = [np.empty(min(flat.size, _GELU_CHUNK), dtype=f) for _ in range(4)]
+    for i in range(0, flat.size, _GELU_CHUNK):
+        xc = flat[i:i + _GELU_CHUNK]
+        u, u2, phi, den = (buf[:xc.size] for buf in bufs)
+        np.multiply(xc, f(_INV_SQRT2), out=u)
+        if f is np.float64:
+            erf(u, out=phi)
+        else:
+            np.clip(u, -4.0, 4.0, out=u)
+            np.multiply(u, u, out=u2)
+            _horner(_ERF_P, u2, phi)
+            phi *= u
+            phi /= _horner(_ERF_Q, u2, den)   # erf(x / √2)
         phi *= 0.5
-        if dgelu is not None:
-            pdf = np.exp(-0.5 * xd * xd) * x.dtype.type(_INV_SQRT2PI)
-            np.add(phi, xd * pdf, out=dgelu)
-        phi *= xd
-        out = phi
+        phi += 0.5
+        if d_flat is not None:
+            pdf = np.multiply(xc, xc, out=u2)
+            pdf *= -0.5
+            np.exp(pdf, out=pdf)
+            pdf *= f(_INV_SQRT2PI)
+            pdf *= xc
+            np.add(phi, pdf, out=d_flat[i:i + xc.size])
+        np.multiply(xc, phi, out=out_flat[i:i + xc.size])
     if dgelu is None:
         return Tensor._wrap(out)
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .ingest import AcquisitionCalendar, PointTable
 from .numerics import Tensor, load_json, load_tensor, save_json, save_tensor
+from .schema import is_finite_float
 
 CHANNEL_NAMES = ("displacement", "mean_velocity", "acceleration", "seasonality", "f_sin", "f_cos")
 YEAR_DAYS = 365.25
@@ -27,10 +28,6 @@ YEAR_DAYS = 365.25
 
 class RasterizeError(ValueError):
     pass
-
-
-def _is_finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,7 @@ class GridSpec:
     working_size: int = 64
 
     def __post_init__(self):
-        if not (len(self.bbox) == 4 and all(map(_is_finite_number, self.bbox))):
+        if not (len(self.bbox) == 4 and all(map(is_finite_float, self.bbox))):
             raise RasterizeError(f"bbox must be 4 finite numbers, got {self.bbox!r}")
         xmin, ymin, xmax, ymax = self.bbox
         if not (xmax > xmin and ymax > ymin):
@@ -374,8 +371,8 @@ def load_cube(path) -> DataCube:
     try:
         raw = sidecar["norm_stats"]
         for key, valid, kind in (
-            ("mean", _is_finite_number, "finite numbers"),
-            ("std", lambda x: _is_finite_number(x) and x > 0, "positive finite numbers"),
+            ("mean", is_finite_float, "finite numbers"),
+            ("std", lambda x: is_finite_float(x) and x > 0, "positive finite numbers"),
             ("constant", lambda x: isinstance(x, bool), "booleans"),
         ):
             entries = raw[key]

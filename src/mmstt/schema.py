@@ -15,6 +15,13 @@ import typing
 from dataclasses import fields
 
 
+def is_finite_float(value) -> bool:
+    """Whether `value` is an int or float (not a bool) that a float64 holds
+    finitely; unlike `math.isfinite`, never raises on a huge int."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _fits(value, hint) -> bool:
     origin = typing.get_origin(hint)
     if origin in (typing.Union, types.UnionType):
@@ -28,7 +35,7 @@ def _fits(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        return is_finite_float(value)
     return isinstance(value, hint)
 
 

@@ -210,6 +210,11 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
     t_in3 = md.ModelConfig.from_json(with_extra_key(paths["model"], t_in=3))
     t_in3_ckpt = tmp_path / "t_in3"
     md.save_checkpoint(t_in3_ckpt, t_in3, md.init_params(t_in3, np.random.default_rng(0)))
+    trained_cfg, trained, _ = md.load_checkpoint(ckpt)
+    nan_flat = md.flatten(p.data for p in trained.values())
+    nan_flat[-1] = np.nan   # the last entry of fusion.b
+    nan_ckpt = tmp_path / "nan_params"
+    md.save_checkpoint(nan_ckpt, trained_cfg, md.param_views(trained_cfg, nan_flat))
 
     def evaluate(cube=cube, *extra, checkpoint=ckpt):
         return ["eval", "--checkpoint", str(checkpoint), "--cube", str(cube),
@@ -284,6 +289,15 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "predict with a checkpoint whose t_in differs from the cube's split": [
             "predict", "--checkpoint", str(t_in3_ckpt), "--cube", str(cube),
             "--window-start", "0", "--out", str(tmp_path / "pred.mmst")],
+        "eval with a checkpoint holding NaN": evaluate(checkpoint=nan_ckpt),
+        "predict with a checkpoint holding NaN": [
+            "predict", "--checkpoint", str(nan_ckpt), "--cube", str(cube),
+            "--window-start", "0", "--out", str(tmp_path / "pred.mmst")],
+        "sidecar with a bbox number too large for a float": evaluate(damaged_cube(
+            "huge_bbox.mmst", cube.read_bytes(), {**sidecar, "bbox": [0, 0, 10**400, 1]})),
+        "sidecar with a norm_stats mean too large for a float": evaluate(damaged_cube(
+            "huge_mean.mmst", cube.read_bytes(),
+            {**sidecar, "norm_stats": {**sidecar["norm_stats"], "mean": [10**400, 0, 0, 0]}})),
         "truncated checkpoint manifest": evaluate(checkpoint=cut_manifest),
         "truncated cube sidecar": evaluate(cut_sidecar),
         "sidecar with a calendar entry that is not a date": evaluate(damaged_cube(
@@ -311,6 +325,11 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "eval --windows all with a val_fraction the cube was not split with": "val_fraction",
         "eval --windows all with a checkpoint whose t_in differs from the cube's split": "t_in=3",
         "predict with a checkpoint whose t_in differs from the cube's split": "t_in=3",
+        "eval with a checkpoint holding NaN": ("nan_params/params.mmst", "fusion.b"),
+        "predict with a checkpoint holding NaN": ("nan_params/params.mmst", "fusion.b"),
+        "sidecar with a bbox number too large for a float": ("huge_bbox.mmst.json", "bbox"),
+        "sidecar with a norm_stats mean too large for a float": (
+            "huge_mean.mmst.json", "norm_stats mean"),
         "truncated checkpoint manifest": "cut_manifest/manifest.json",
         "truncated cube sidecar": "cut_sidecar.mmst.json",
         "bbox that holds no point": "no point lies inside bbox",

@@ -132,11 +132,17 @@ class TestSoftmax:
 def test_gelu_matches_erf_formula():
     from scipy.special import erf
 
+    from mmstt.numerics.tensor import _GELU_CHUNK
+
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(3, 9)) * 2
-    got = nm.gelu(t64(x)).data
-    want = 0.5 * x * (1 + erf(x / np.sqrt(2)))
-    assert np.allclose(got, want, atol=1e-12)
+    # one short chunk, and more than two chunks with a short last one
+    for x in (rng.normal(size=(3, 9)) * 2, np.linspace(-9.0, 9.0, 2 * _GELU_CHUNK + 1001)):
+        phi = 0.5 * (1 + erf(x / np.sqrt(2)))
+        np.testing.assert_allclose(nm.gelu(t64(x)).data, x * phi, rtol=0, atol=1e-12)
+        y, dy = _gelu_with_derivative(x)
+        np.testing.assert_allclose(y, x * phi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dy, phi + x * np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi),
+                                   rtol=0, atol=1e-12)
     # a 0-d input keeps working under and outside a tape
     with GradTape():
         y = nm.gelu(t64(0.5))
@@ -497,6 +503,9 @@ def test_grad_check_detects_corrupted_gradient():
         lambda ps: mean_all(nm.mul(bad_identity(ps[0]), ps[0])), [w], eps=1e-5, tol=1e-4
     )
     assert not report.passed
+    # only entry 0's gradient is corrupted, and the report says so
+    assert (report.worst_param, report.worst_entry) == (0, 0)
+    assert "param 0, entry 0:" in str(report)
 
 
 def test_grad_check_rejects_float32():
