@@ -8,14 +8,13 @@ requested pixels and a binned residual table.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from .model import ModelConfig, forward
-from .numerics import Tensor, save_json
+from .numerics import Tensor, save_csv, save_json
 from .rasterize import NormStats, SampleWindow
 
 SSIM_WINDOW = 8
@@ -304,27 +303,15 @@ def write_report_json(path, report: ForecastReport) -> None:
 
 
 def write_summary_csv(path, report: ForecastReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["horizon", "rmse", "mae", "r2", "ssim", "corr"])
-        for h in report.horizons:
-            writer.writerow([f"t+{h.step}"] + [repr(v) for v in (h.rmse, h.mae, h.r2, h.ssim, h.pearson)])
+    save_csv(path, ["horizon", "rmse", "mae", "r2", "ssim", "corr"],
+             ([f"t+{h.step}", h.rmse, h.mae, h.r2, h.ssim, h.pearson] for h in report.horizons))
 
 
 def write_nodes_csv(path, report: ForecastReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "step", "y_true", "y_pred"])
-        for node in report.nodes:
-            for k, (yt, yp) in enumerate(zip(node.y_true, node.y_pred), start=1):
-                writer.writerow([node.node_id, k, repr(yt), repr(yp)])
+    save_csv(path, ["node_id", "step", "y_true", "y_pred"],
+             ([node.node_id, k, yt, yp] for node in report.nodes
+              for k, (yt, yp) in enumerate(zip(node.y_true, node.y_pred), start=1)))
 
 
 def write_bins_csv(path, report: ForecastReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "count", "mae",
-                         "residual_median", "residual_q1", "residual_q3"])
-        for b in report.bins:
-            writer.writerow([repr(b.bin_low), repr(b.bin_high), b.count, repr(b.mae),
-                             repr(b.residual_median), repr(b.residual_q1), repr(b.residual_q3)])
+    save_csv(path, [f.name for f in fields(BinStats)], (astuple(b) for b in report.bins))

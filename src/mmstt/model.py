@@ -127,6 +127,15 @@ def param_views(config: ModelConfig, flat: np.ndarray,
     return params
 
 
+def non_finite_param(config: ModelConfig, flat: np.ndarray) -> str | None:
+    """The first parameter, in `param_shapes` order, whose slice of `flat`
+    holds NaN or ±inf; None when every entry is finite."""
+    if np.isfinite(flat).all():
+        return None
+    return next(name for name, p in param_views(config, flat).items()
+                if not np.isfinite(p.data).all())
+
+
 def flatten(arrays) -> np.ndarray:
     """One vector of `arrays`, each raveled in turn: given the parameters or
     their gradients in `param_shapes` order, the layout `param_views` reads."""
@@ -282,15 +291,20 @@ def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
     then `manifest.json`. The old manifest goes first, so a save that stops
     part-way leaves a directory `load_checkpoint` refuses, never one that
     loads a mix of old and new weights. Any other `*.mmst` file (an old
-    per-parameter layout) is deleted as well."""
+    per-parameter layout) is deleted as well. Parameters holding NaN or ±inf
+    are refused before the directory is touched."""
     _check_params(params, config)
+    flat = flatten(params[name].data for name in param_shapes(config))
+    bad = non_finite_param(config, flat)
+    if bad is not None:
+        raise ModelError(f"refusing to save checkpoint {directory}: "
+                         f"parameter {bad} holds a non-finite value")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "manifest.json").unlink(missing_ok=True)
     for stale in directory.glob("*.mmst"):
         if stale.name != "params.mmst":
             stale.unlink()
-    flat = flatten(params[name].data for name in param_shapes(config))
     nm.save_tensor(directory / "params.mmst", Tensor._wrap(flat))
     manifest = {
         "config": config.to_json(),
@@ -314,7 +328,7 @@ def load_checkpoint(directory) -> tuple[ModelConfig, "OrderedDict[str, Tensor]",
     path = directory / "params.mmst"
     flat = nm.load_tensor(path).data
     params = param_views(config, flat, path)
-    if not np.isfinite(flat).all():
-        bad = next(name for name, p in params.items() if not np.isfinite(p.data).all())
+    bad = non_finite_param(config, flat)
+    if bad is not None:
         raise ModelError(f"checkpoint {path} holds a non-finite value in parameter {bad}")
     return config, params, manifest

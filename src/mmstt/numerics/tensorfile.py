@@ -6,11 +6,13 @@ A read maps the payload read-only, so a caller pages in only the slices it
 touches; a write goes to `<path>.tmp` and is renamed over `path`, so a file
 that a live map covers is replaced, never truncated under it.
 Semantic metadata travels in a JSON sidecar owned by the caller; every JSON
-artifact is written by `save_json` and read by `load_json`.
+artifact is written by `save_json` and read by `load_json`, and every CSV
+table is written by `save_csv`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -96,6 +98,15 @@ def save_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def save_csv(path, header, rows) -> None:
+    """Write a CSV table: the `header` row, then every row of `rows`. A float
+    is written as its repr, so it reads back to the same value."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_json(path, what: str) -> dict:

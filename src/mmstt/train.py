@@ -3,7 +3,6 @@ seeded shuffling, and best-checkpoint early stopping."""
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, asdict
@@ -12,7 +11,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import schema
-from .model import ModelConfig, flatten, forward, init_params, param_views
+from .model import ModelConfig, flatten, forward, init_params, non_finite_param, param_views
 from .numerics import GradTape, Tensor
 from .rasterize import SampleWindow
 
@@ -124,21 +123,21 @@ def adamw_step(flat: np.ndarray, grad: np.ndarray, state: AdamWState, lr: float,
     return flat - lr * (m_hat / (np.sqrt(v_hat) + EPS) + wd * flat)
 
 
-def _batch(windows: list[SampleWindow]) -> tuple[Tensor, Tensor]:
-    x = np.stack([w.input for w in windows], dtype=np.float32)
-    y = np.stack([w.target for w in windows], dtype=np.float32)
-    return Tensor._wrap(x), Tensor._wrap(y)
+def _batches(windows: list[SampleWindow], order, batch_size: int):
+    """For each run of `batch_size` windows in `order`, the float32 input and
+    target Tensors and the number of windows in the run."""
+    for i in range(0, len(order), batch_size):
+        run = [windows[j] for j in order[i:i + batch_size]]
+        x = np.stack([w.input for w in run], dtype=np.float32)
+        y = np.stack([w.target for w in run], dtype=np.float32)
+        yield Tensor._wrap(x), Tensor._wrap(y), len(run)
 
 
 def _dataset_loss(params, config, windows, beta, batch_size) -> float:
-    total, count = 0.0, 0
-    for i in range(0, len(windows), batch_size):
-        chunk = windows[i:i + batch_size]
-        x, y = _batch(chunk)
-        loss = smooth_l1(forward(x, params, config), y, beta)
-        total += loss.item() * len(chunk)
-        count += len(chunk)
-    return total / count
+    total = 0.0
+    for x, y, n in _batches(windows, range(len(windows)), batch_size):
+        total += smooth_l1(forward(x, params, config), y, beta).item() * n
+    return total / len(windows)
 
 
 def fit(
@@ -163,27 +162,21 @@ def fit(
     # dropout applies to training steps only; validation runs deterministically
     drop_rng = rng.spawn(1)[0] if model_cfg.dropout > 0 else None
     result = FitResult(params=params)
-    best_params = params
-    since_best = 0
 
     for epoch in range(train_cfg.max_epochs):
-        order = rng.permutation(len(train_windows))
-        train_total, train_count = 0.0, 0
-        for i in range(0, len(order), train_cfg.batch_size):
-            chunk = [train_windows[j] for j in order[i:i + train_cfg.batch_size]]
-            x, y = _batch(chunk)
+        train_total = 0.0
+        for x, y, n in _batches(train_windows, rng.permutation(len(train_windows)),
+                                train_cfg.batch_size):
             with GradTape() as tape:
                 loss = smooth_l1(forward(x, params, model_cfg, dropout_rng=drop_rng), y, beta)
             grad = flatten(tape.gradients(loss, list(params.values())))
             del tape  # free the step's activations before the update allocates
-            if not np.isfinite(grad).all():
-                bad = next(name for name, g in param_views(model_cfg, grad).items()
-                           if not np.isfinite(g.data).all())
+            bad = non_finite_param(model_cfg, grad)
+            if bad is not None:
                 raise FloatingPointError(f"non-finite gradient for parameter {bad}")
             flat = adamw_step(flat, grad, state, train_cfg.learning_rate, train_cfg.weight_decay)
             params = param_views(model_cfg, flat)
-            train_total += loss.item() * len(chunk)
-            train_count += len(chunk)
+            train_total += loss.item() * n
             result.total_steps += 1
 
         val_loss = _dataset_loss(params, model_cfg, val_windows, beta, train_cfg.batch_size)
@@ -192,23 +185,13 @@ def fit(
             raise FloatingPointError(f"validation loss is {val_loss} at epoch {epoch}")
         is_best = val_loss < result.best_val_loss
         if is_best:
-            result.best_val_loss = val_loss
-            result.best_epoch = epoch
-            best_params = params
-            since_best = 0
-        else:
-            since_best += 1
-        result.history.append(EpochStats(epoch, train_total / train_count, val_loss, is_best))
-        if since_best >= train_cfg.patience:
+            result.params, result.best_epoch, result.best_val_loss = params, epoch, val_loss
+        result.history.append(EpochStats(epoch, train_total / len(train_windows), val_loss, is_best))
+        if epoch - result.best_epoch >= train_cfg.patience:
             break
-
-    result.params = best_params
     return result
 
 
 def write_history(path, history: list[EpochStats]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "is_best"])
-        for row in history:
-            writer.writerow([row.epoch, repr(row.train_loss), repr(row.val_loss), int(row.is_best)])
+    nm.save_csv(path, ["epoch", "train_loss", "val_loss", "is_best"],
+                ([row.epoch, row.train_loss, row.val_loss, int(row.is_best)] for row in history))

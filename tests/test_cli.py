@@ -12,7 +12,7 @@ import pytest
 
 from mmstt import model as md
 from mmstt.cli import main
-from mmstt.numerics import save_json
+from mmstt.numerics import Tensor, load_tensor, save_json, save_tensor
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -210,11 +210,10 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
     t_in3 = md.ModelConfig.from_json(with_extra_key(paths["model"], t_in=3))
     t_in3_ckpt = tmp_path / "t_in3"
     md.save_checkpoint(t_in3_ckpt, t_in3, md.init_params(t_in3, np.random.default_rng(0)))
-    trained_cfg, trained, _ = md.load_checkpoint(ckpt)
-    nan_flat = md.flatten(p.data for p in trained.values())
+    nan_ckpt = damaged_checkpoint("nan_params")
+    nan_flat = load_tensor(ckpt / "params.mmst").data.copy()
     nan_flat[-1] = np.nan   # the last entry of fusion.b
-    nan_ckpt = tmp_path / "nan_params"
-    md.save_checkpoint(nan_ckpt, trained_cfg, md.param_views(trained_cfg, nan_flat))
+    save_tensor(nan_ckpt / "params.mmst", Tensor._wrap(nan_flat))
 
     def evaluate(cube=cube, *extra, checkpoint=ckpt):
         return ["eval", "--checkpoint", str(checkpoint), "--cube", str(cube),

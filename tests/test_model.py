@@ -334,3 +334,20 @@ def test_interrupted_save_leaves_no_loadable_checkpoint(tmp_path, monkeypatch):
         md.save_checkpoint(tmp_path / "ckpt", TINY, md.init_params(TINY, np.random.default_rng(1)))
     with pytest.raises(FileNotFoundError, match="manifest.json"):
         md.load_checkpoint(tmp_path / "ckpt")
+
+
+def test_save_refuses_a_non_finite_vector_and_keeps_the_old_checkpoint(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    params = md.init_params(TINY, np.random.default_rng(0))
+    md.save_checkpoint(ckpt, TINY, params)
+    for bad_value in (np.nan, -np.inf):
+        wk = params["layer0.attn.wk"].data.copy()
+        wk[3, 5] = bad_value
+        bad = {**params, "layer0.attn.wk": Tensor._wrap(wk)}
+        with pytest.raises(md.ModelError, match=r"parameter layer0\.attn\.wk holds a non-finite value$"):
+            md.save_checkpoint(ckpt, TINY, bad)
+        _, back, _ = md.load_checkpoint(ckpt)
+        for name, p in params.items():
+            assert np.array_equal(back[name].data, p.data)
+        assert md.non_finite_param(TINY, md.flatten(p.data for p in bad.values())) == "layer0.attn.wk"
+    assert md.non_finite_param(TINY, md.flatten(p.data for p in params.values())) is None

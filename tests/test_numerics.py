@@ -758,3 +758,13 @@ def test_save_json_writes_non_finite_floats_as_null(tmp_path):
     nm.save_json(path, {"b": [1.5, math.nan, (math.inf, 2)], "a": {"x": -math.inf, "y": None}})
     expected = {"a": {"x": None, "y": None}, "b": [1.5, None, [None, 2]]}
     assert path.read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_save_csv_writes_each_float_as_its_repr(tmp_path):
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16, -1.7976931348623157e308]
+    floats += np.random.default_rng(3).normal(scale=1e3, size=200).tolist()
+    path = tmp_path / "t.csv"
+    nm.save_csv(path, ["i", "x"], ([i, x] for i, x in enumerate(floats)))
+    lines = path.read_bytes().decode("utf-8").split("\r\n")
+    assert lines[0] == "i,x" and lines[-1] == ""
+    assert lines[1:-1] == [f"{i},{x!r}" for i, x in enumerate(floats)]

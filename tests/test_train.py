@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -151,12 +153,13 @@ class TestFit:
 
     def test_early_stopping_returns_best_checkpoint(self):
         cfg = TrainConfig(learning_rate=5e-3, max_epochs=40, patience=3, batch_size=2, seed=7)
-        val = toy_windows(2, seed=11)
-        res = tr.fit(TINY, cfg, toy_windows(4), val)
+        val, n_train = toy_windows(2, seed=11), 4
+        res = tr.fit(TINY, cfg, toy_windows(n_train), val)
         assert res.best_val_loss == min(e.val_loss for e in res.history)
         assert res.history[res.best_epoch].is_best
         # no epoch after best_epoch improved, and the run stopped `patience` later
-        assert len(res.history) <= res.best_epoch + cfg.patience + 1
+        assert len(res.history) == res.best_epoch + cfg.patience + 1 < cfg.max_epochs
+        assert res.total_steps == len(res.history) * math.ceil(n_train / cfg.batch_size)
         # the returned parameters are the best epoch's, untouched by the later updates
         assert res.best_epoch < len(res.history) - 1
         assert tr._dataset_loss(res.params, TINY, val, cfg.smooth_l1_beta,
