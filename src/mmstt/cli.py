@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evaluation as ev
 from . import ingest, model, rasterize, synth, train
-from .numerics import Tensor, load_json, save_json, save_tensor
+from .numerics import Tensor, load_json, save_json, save_tensor_and_json
 
 
 class ValidationFailure(ValueError):
@@ -41,7 +41,6 @@ def _write_manifest(out_dir: Path, command: str, seed, config: dict, inputs: dic
         "artifacts": {k: str(v) for k, v in outputs.items()},
         "created_at": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_json(out_dir / "run_manifest.json", manifest)
 
 
@@ -81,7 +80,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     ingest.write_csv(out, points, calendar)
-    _write_manifest(out.parent, "synth", spec.seed, spec.to_json(),
+    _write_manifest(out.parent, "synth", spec.seed, dataclasses.asdict(spec),
                     {"spec": args.spec}, {"csv": out})
     print(f"synth: wrote {len(points)} points x {len(calendar)} dates to {out}")
     return 0
@@ -128,7 +127,7 @@ def cmd_train(args) -> int:
                           train_step=result.total_steps, val_loss=result.best_val_loss)
     train.write_history(out_dir / "history.csv", result.history)
     _write_manifest(out_dir, "train", train_cfg.seed,
-                    {"model": model_cfg.to_json(), "train": train_cfg.to_json()},
+                    {"model": dataclasses.asdict(model_cfg), "train": dataclasses.asdict(train_cfg)},
                     {"cube": args.cube,
                      "model_config": args.model_config,
                      "train_config": args.train_config},
@@ -150,9 +149,6 @@ def cmd_predict(args) -> int:
     pred_mm = cube.norm_stats.denormalize(pred, 0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    # the old sidecar goes first, so a failed save leaves none to misdescribe the new tensor
-    Path(f"{out}.json").unlink(missing_ok=True)
-    save_tensor(out, Tensor._wrap(pred_mm))
     target_dates = cube.calendar.dates[
         args.window_start + model_cfg.t_in: args.window_start + model_cfg.t_in + model_cfg.t_out
     ]
@@ -162,7 +158,7 @@ def cmd_predict(args) -> int:
         "target_dates": [d.isoformat() for d in target_dates],
         "shape": list(pred_mm.shape),
     }
-    save_json(f"{out}.json", sidecar)
+    save_tensor_and_json(out, Tensor._wrap(pred_mm), f"{out}.json", sidecar)
     _write_manifest(out.parent, "predict", None, sidecar,
                     {"checkpoint": ckpt, "cube": args.cube}, {"prediction": out})
     print(f"predict: forecast for window {args.window_start} written to {out}")

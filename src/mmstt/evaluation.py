@@ -207,14 +207,27 @@ class ForecastReport:
                     raise EvalError(f"t+{h.step}: {name} {v} outside [-1, 1]")
 
 
+def _check_finite(windows: list[SampleWindow], stacked: np.ndarray, error, what: str) -> None:
+    """Raise `error` naming the first window whose row of `stacked` holds NaN or ±inf."""
+    bad = ~np.isfinite(stacked).reshape(len(windows), -1).all(axis=1)
+    if bad.any():
+        raise error(f"window start {windows[int(bad.argmax())].start_index}: {what}")
+
+
 def predict_windows(params, config: ModelConfig, windows: list[SampleWindow]) -> np.ndarray:
     """Model forecasts for a list of windows, run 16 at a time in float32 and
-    written into one float64 array: (n_windows, T_out, 1, H, W)."""
+    written into one float64 array: (n_windows, T_out, 1, H, W). A non-finite
+    input raises EvalError and a non-finite forecast FloatingPointError."""
     g = config.grid_size
     out = np.empty((len(windows), config.t_out, 1, g, g))
     for i in range(0, len(windows), 16):
-        x = Tensor._wrap(np.stack([w.input for w in windows[i:i + 16]], dtype=np.float32))
-        out[i:i + 16] = forward(x, params, config).data
+        batch = windows[i:i + 16]
+        x = np.stack([w.input for w in batch], dtype=np.float32)
+        _check_finite(batch, x, EvalError, "the input holds NaN or ±inf")
+        with np.errstate(all="ignore"):
+            y = forward(Tensor._wrap(x), params, config).data
+        _check_finite(batch, y, FloatingPointError, "the forecast is not finite")
+        out[i:i + 16] = y
     return out
 
 
@@ -228,6 +241,7 @@ def evaluate(
 ) -> ForecastReport:
     """Score normalized forecasts (n_windows, T_out, 1, H, W), such as
     `predict_windows` returns, against the windows' targets, in millimeters.
+    Targets holding NaN or ±inf raise EvalError naming the window start.
 
     `event_time_index` marks windows whose target range contains a known
     abrupt event (the event is unforecastable from their inputs); they are
@@ -236,8 +250,10 @@ def evaluate(
     if not windows:
         raise EvalError("no evaluation windows")
     t_out = windows[0].target.shape[0]
+    targets = np.stack([w.target for w in windows])[:, :, 0]
+    _check_finite(windows, targets, EvalError, "the target holds NaN or ±inf")
     y_hat = norm_stats.denormalize(predictions[:, :, 0], 0)          # (n, T_out, H, W)
-    y = norm_stats.denormalize(np.stack([w.target for w in windows])[:, :, 0], 0)
+    y = norm_stats.denormalize(targets, 0)
 
     horizons = []
     for k in range(t_out):

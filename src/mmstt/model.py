@@ -74,9 +74,6 @@ class ModelConfig:
     def n_out_tokens(self) -> int:
         return self.t_out * self.patches_per_side * self.patches_per_side
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json(cls, d: dict) -> "ModelConfig":
         return schema.from_json(cls, d, ModelError, "model config")
@@ -288,11 +285,9 @@ def forward(x: Tensor, params, config: ModelConfig, attn_sink=None, dropout_rng=
 def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
                     val_loss: float | None = None) -> None:
     """Write `params.mmst`, every parameter flattened in `param_shapes` order,
-    then `manifest.json`. The old manifest goes first, so a save that stops
-    part-way leaves a directory `load_checkpoint` refuses, never one that
-    loads a mix of old and new weights. Any other `*.mmst` file (an old
-    per-parameter layout) is deleted as well. Parameters holding NaN or ±inf
-    are refused before the directory is touched."""
+    with `manifest.json` as its JSON, so a save that stops part-way leaves a
+    directory `load_checkpoint` refuses. Parameters holding NaN or ±inf are
+    refused before the directory is touched."""
     _check_params(params, config)
     flat = flatten(params[name].data for name in param_shapes(config))
     bad = non_finite_param(config, flat)
@@ -301,17 +296,9 @@ def save_checkpoint(directory, config: ModelConfig, params, train_step: int = 0,
                          f"parameter {bad} holds a non-finite value")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "manifest.json").unlink(missing_ok=True)
-    for stale in directory.glob("*.mmst"):
-        if stale.name != "params.mmst":
-            stale.unlink()
-    nm.save_tensor(directory / "params.mmst", Tensor._wrap(flat))
-    manifest = {
-        "config": config.to_json(),
-        "train_step": train_step,
-        "validation_loss": val_loss,
-    }
-    nm.save_json(directory / "manifest.json", manifest)
+    manifest = {"config": asdict(config), "train_step": train_step, "validation_loss": val_loss}
+    nm.save_tensor_and_json(directory / "params.mmst", Tensor._wrap(flat),
+                            directory / "manifest.json", manifest)
 
 
 def load_checkpoint(directory) -> tuple[ModelConfig, "OrderedDict[str, Tensor]", dict]:

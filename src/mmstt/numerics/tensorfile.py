@@ -5,9 +5,9 @@ little-endian u32 extents, then the row-major little-endian payload.
 A read maps the payload read-only, so a caller pages in only the slices it
 touches; a write goes to `<path>.tmp` and is renamed over `path`, so a file
 that a live map covers is replaced, never truncated under it.
-Semantic metadata travels in a JSON sidecar owned by the caller; every JSON
-artifact is written by `save_json` and read by `load_json`, and every CSV
-table is written by `save_csv`.
+Semantic metadata travels in a JSON file owned by the caller and saved with
+its tensor by `save_tensor_and_json`; every JSON artifact is written by
+`save_json` and read by `load_json`, and every CSV table by `save_csv`.
 """
 
 from __future__ import annotations
@@ -49,6 +49,14 @@ def save_tensor(path, t: Tensor) -> None:
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def save_tensor_and_json(tensor_path, t: Tensor, json_path, obj) -> None:
+    """Save a tensor and its JSON: the old JSON goes first and the new one
+    last, so a save that stops part-way leaves none to misdescribe the tensor."""
+    Path(json_path).unlink(missing_ok=True)
+    save_tensor(tensor_path, t)
+    save_json(json_path, obj)
 
 
 def load_tensor(path) -> Tensor:

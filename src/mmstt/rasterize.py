@@ -14,12 +14,11 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .ingest import AcquisitionCalendar, PointTable
-from .numerics import Tensor, load_json, load_tensor, save_json, save_tensor
+from .numerics import Tensor, load_json, load_tensor, save_tensor_and_json
 from .schema import is_finite_float
 
 CHANNEL_NAMES = ("displacement", "mean_velocity", "acceleration", "seasonality", "f_sin", "f_cos")
@@ -338,11 +337,7 @@ def split_windows(windows: list[SampleWindow], plan: SplitPlan) -> tuple[list[Sa
 
 def save_cube(path, cube: DataCube) -> None:
     """Write `<path>` (binary tensor) and `<path>.json` (semantic sidecar).
-    The tensor is written from a read-only view of the cube, not a copy. The
-    old sidecar goes first and the new one last, so a save that stops
-    part-way leaves a cube `load_cube` refuses, not one with stale statistics."""
-    Path(f"{path}.json").unlink(missing_ok=True)
-    save_tensor(path, Tensor._wrap(np.asarray(cube.values, dtype=np.float64).view()))
+    The tensor is written from a read-only view of the cube, not a copy."""
     sidecar = {
         "channels": list(CHANNEL_NAMES),
         "norm_stats": {
@@ -357,7 +352,8 @@ def save_cube(path, cube: DataCube) -> None:
         "split": {"t_in": cube.split.t_in, "t_out": cube.split.t_out,
                   "val_fraction": cube.split.val_fraction},
     }
-    save_json(f"{path}.json", sidecar)
+    save_tensor_and_json(path, Tensor._wrap(np.asarray(cube.values, dtype=np.float64).view()),
+                         f"{path}.json", sidecar)
 
 
 def load_cube(path) -> DataCube:

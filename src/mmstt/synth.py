@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class RegimeSpec:
             raise SynthError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.seed < 0:
             raise SynthError(f"seed must be >= 0, got {self.seed}")
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "RegimeSpec":

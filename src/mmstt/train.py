@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class TrainConfig:
             raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise TrainError(f"seed must be >= 0, got {self.seed}")
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "TrainConfig":

@@ -129,12 +129,61 @@ def test_a_predict_whose_sidecar_fails_leaves_no_sidecar(configs, monkeypatch, c
             raise OSError(28, "No space left on device", str(target))
         save_json(target, obj)
 
-    monkeypatch.setattr("mmstt.cli.save_json", full_disk_on_sidecar)
+    monkeypatch.setattr("mmstt.numerics.tensorfile.save_json", full_disk_on_sidecar)
     capsys.readouterr()
     assert predict("1") == 1
     assert "No space left on device" in capsys.readouterr().err
     # window 0's target dates must not describe window 1's forecast
     assert not Path(f"{pred}.json").exists()
+
+
+def test_a_predict_whose_tensor_write_fails_keeps_the_old_forecast_without_a_sidecar(
+        configs, monkeypatch, capsys):
+    tmp_path, paths = configs
+    out = run_pipeline(tmp_path, paths)
+    pred = out / "pred.mmst"
+
+    def predict(start):
+        return main(["predict", "--checkpoint", str(out / "model" / "checkpoint"),
+                     "--cube", str(out / "cube.mmst"), "--window-start", start, "--out", str(pred)])
+
+    assert predict("0") == 0
+    old = pred.read_bytes()
+
+    def full_disk(target, t):
+        raise OSError(28, "No space left on device", str(target))
+
+    monkeypatch.setattr("mmstt.numerics.tensorfile.save_tensor", full_disk)
+    capsys.readouterr()
+    assert predict("1") == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert pred.read_bytes() == old
+    assert not Path(f"{pred}.json").exists()
+
+
+def test_a_forecast_that_overflows_exits_2_and_writes_nothing(configs, capsys):
+    # finite parameters scaled by 1e30 overflow float32 inside the forward
+    tmp_path, paths = configs
+    out = run_pipeline(tmp_path, paths)
+    ckpt = tmp_path / "huge_params"
+    shutil.copytree(out / "model" / "checkpoint", ckpt)
+    huge = load_tensor(ckpt / "params.mmst").data * np.float32(1e30)
+    assert np.isfinite(huge).all()
+    save_tensor(ckpt / "params.mmst", Tensor._wrap(huge))
+    pred = tmp_path / "pred.mmst"
+    cases = {
+        "window start 3:": ["predict", "--checkpoint", str(ckpt), "--cube", str(out / "cube.mmst"),
+                            "--window-start", "3", "--out", str(pred)],
+        "window start 0:": ["eval", "--checkpoint", str(ckpt), "--cube", str(out / "cube.mmst"),
+                            "--out-dir", str(tmp_path / "report"), "--windows", "all"],
+    }
+    capsys.readouterr()
+    for window, argv in cases.items():
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err == f"numerical error: {window} the forecast is not finite\n", err
+    assert not pred.exists() and not Path(f"{pred}.json").exists()
+    assert not (tmp_path / "report").exists()
 
 
 def test_rerun_is_byte_identical(configs):
@@ -210,6 +259,18 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
     t_in3 = md.ModelConfig.from_json(with_extra_key(paths["model"], t_in=3))
     t_in3_ckpt = tmp_path / "t_in3"
     md.save_checkpoint(t_in3_ckpt, t_in3, md.init_params(t_in3, np.random.default_rng(0)))
+    n_dates = len(sidecar["calendar"])
+
+    def cube_holding(name, frame, value):
+        p = tmp_path / name
+        data = load_tensor(cube).data.copy()
+        data[frame, 0, 0, 0] = value
+        save_tensor(p, Tensor._wrap(data))
+        Path(f"{p}.json").write_text(json.dumps(sidecar))
+        return str(p)
+
+    nan_input = cube_holding("nan_input.mmst", 0, np.nan)     # an input of window 0 only
+    inf_target = cube_holding("inf_target.mmst", -1, -np.inf)  # a target of the last window only
     nan_ckpt = damaged_checkpoint("nan_params")
     nan_flat = load_tensor(ckpt / "params.mmst").data.copy()
     nan_flat[-1] = np.nan   # the last entry of fusion.b
@@ -292,6 +353,13 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "predict with a checkpoint holding NaN": [
             "predict", "--checkpoint", str(nan_ckpt), "--cube", str(cube),
             "--window-start", "0", "--out", str(tmp_path / "pred.mmst")],
+        "eval --windows all with a cube holding NaN in an input frame": evaluate(
+            nan_input, "--windows", "all"),
+        "eval --windows all with a cube holding -inf in a target frame": evaluate(
+            inf_target, "--windows", "all"),
+        "predict with a cube holding NaN in an input frame": [
+            "predict", "--checkpoint", str(ckpt), "--cube", nan_input,
+            "--window-start", "0", "--out", str(tmp_path / "pred.mmst")],
         "sidecar with a bbox number too large for a float": evaluate(damaged_cube(
             "huge_bbox.mmst", cube.read_bytes(), {**sidecar, "bbox": [0, 0, 10**400, 1]})),
         "sidecar with a norm_stats mean too large for a float": evaluate(damaged_cube(
@@ -326,6 +394,12 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "predict with a checkpoint whose t_in differs from the cube's split": "t_in=3",
         "eval with a checkpoint holding NaN": ("nan_params/params.mmst", "fusion.b"),
         "predict with a checkpoint holding NaN": ("nan_params/params.mmst", "fusion.b"),
+        "eval --windows all with a cube holding NaN in an input frame": (
+            "window start 0: the input holds NaN or ±inf"),
+        "eval --windows all with a cube holding -inf in a target frame": (
+            f"window start {n_dates - 4}: the target holds NaN or ±inf"),
+        "predict with a cube holding NaN in an input frame": (
+            "window start 0: the input holds NaN or ±inf"),
         "sidecar with a bbox number too large for a float": ("huge_bbox.mmst.json", "bbox"),
         "sidecar with a norm_stats mean too large for a float": (
             "huge_mean.mmst.json", "norm_stats mean"),

@@ -311,29 +311,35 @@ def test_checkpoint_round_trip(tmp_path):
                 back[name].data.setflags(write=True)
 
 
-def test_save_over_old_per_parameter_layout_leaves_two_files(tmp_path):
-    ckpt = tmp_path / "ckpt"
-    params = md.init_params(TINY, np.random.default_rng(0))
-    ckpt.mkdir()
-    for name, p in params.items():
-        nm.save_tensor(ckpt / f"{name}.mmst", p)
-    (ckpt / "manifest.json").write_text('{"config": {}, "tensors": {}}\n', encoding="utf-8")
-    md.save_checkpoint(ckpt, TINY, params)
-    assert sorted(p.name for p in ckpt.iterdir()) == ["manifest.json", "params.mmst"]
-    assert list(md.load_checkpoint(ckpt)[1]) == list(params)
-
-
 def test_interrupted_save_leaves_no_loadable_checkpoint(tmp_path, monkeypatch):
     md.save_checkpoint(tmp_path / "ckpt", TINY, md.init_params(TINY, np.random.default_rng(0)))
 
     def crash(path, tensor):
         raise OSError("disk full")
 
-    monkeypatch.setattr(nm, "save_tensor", crash)
+    monkeypatch.setattr("mmstt.numerics.tensorfile.save_tensor", crash)
     with pytest.raises(OSError, match="disk full"):
         md.save_checkpoint(tmp_path / "ckpt", TINY, md.init_params(TINY, np.random.default_rng(1)))
     with pytest.raises(FileNotFoundError, match="manifest.json"):
         md.load_checkpoint(tmp_path / "ckpt")
+
+
+def test_a_save_whose_manifest_write_fails_leaves_no_loadable_checkpoint(tmp_path, monkeypatch):
+    ckpt = tmp_path / "ckpt"
+    md.save_checkpoint(ckpt, TINY, md.init_params(TINY, np.random.default_rng(0)))
+    new = md.init_params(TINY, np.random.default_rng(1))
+
+    def crash(path, obj):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("mmstt.numerics.tensorfile.save_json", crash)
+    with pytest.raises(OSError, match="disk full"):
+        md.save_checkpoint(ckpt, TINY, new)
+    # the new vector is in place, with no manifest to load it under
+    assert np.array_equal(nm.load_tensor(ckpt / "params.mmst").data,
+                          md.flatten(p.data for p in new.values()))
+    with pytest.raises(FileNotFoundError, match="manifest.json"):
+        md.load_checkpoint(ckpt)
 
 
 def test_save_refuses_a_non_finite_vector_and_keeps_the_old_checkpoint(tmp_path):

@@ -707,6 +707,32 @@ def test_interrupted_save_leaves_the_old_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["t.mmst"]
 
 
+def test_save_tensor_and_json_leaves_no_json_after_either_failed_write(tmp_path, monkeypatch):
+    tensor, meta = tmp_path / "t.mmst", tmp_path / "t.mmst.json"
+    old, new = np.arange(6.0).reshape(2, 3), -np.ones((4, 4))
+
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    # a failed tensor write: the old tensor stays, and its JSON is already gone
+    nm.save_tensor_and_json(tensor, Tensor(old, dtype=np.float64), meta, {"v": 1})
+    assert nm.load_json(meta, "meta") == {"v": 1}
+    monkeypatch.setattr("mmstt.numerics.tensorfile.save_tensor", full_disk)
+    with pytest.raises(OSError):
+        nm.save_tensor_and_json(tensor, Tensor(new, dtype=np.float64), meta, {"v": 2})
+    monkeypatch.undo()
+    assert np.array_equal(nm.load_tensor(tensor).data, old)
+    assert not meta.exists()
+
+    # a failed JSON write: the new tensor is in place, with no JSON beside it
+    nm.save_tensor_and_json(tensor, Tensor(old, dtype=np.float64), meta, {"v": 1})
+    monkeypatch.setattr("mmstt.numerics.tensorfile.save_json", full_disk)
+    with pytest.raises(OSError):
+        nm.save_tensor_and_json(tensor, Tensor(new, dtype=np.float64), meta, {"v": 2})
+    assert np.array_equal(nm.load_tensor(tensor).data, new)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.mmst"]
+
+
 def test_save_over_a_loaded_tensor_keeps_the_loaded_values(tmp_path):
     path = tmp_path / "t.mmst"
     nm.save_tensor(path, Tensor(np.arange(6.0).reshape(2, 3), dtype=np.float64))

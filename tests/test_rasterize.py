@@ -459,8 +459,29 @@ def test_a_save_whose_sidecar_fails_leaves_a_cube_load_refuses(tmp_path, monkeyp
     def full_disk(target, obj):
         raise OSError(28, "No space left on device", str(target))
 
-    monkeypatch.setattr(rz, "save_json", full_disk)
+    monkeypatch.setattr("mmstt.numerics.tensorfile.save_json", full_disk)
     with pytest.raises(OSError):
         rz.save_cube(path, cube_b)
+    with pytest.raises(FileNotFoundError, match="cube sidecar not found"):
+        rz.load_cube(path)
+
+
+def test_a_save_whose_tensor_write_fails_leaves_a_cube_load_refuses(tmp_path, monkeypatch):
+    # the old tensor stays, but no sidecar is left to describe it
+    cal = weekly_calendar(12)
+    pts = scatter_points(np.random.default_rng(21), 10, cal, lambda x, y, t: x + 0.1 * t)
+    split = rz.plan_split(12, 2, 2, 0.25)
+    path = tmp_path / "cube.mmst"
+    cube = rz.build_cube(pts, cal, unit_grid(), split=split)
+    rz.save_cube(path, cube)
+    old = path.read_bytes()
+
+    def full_disk(target, t):
+        raise OSError(28, "No space left on device", str(target))
+
+    monkeypatch.setattr("mmstt.numerics.tensorfile.save_tensor", full_disk)
+    with pytest.raises(OSError):
+        rz.save_cube(path, cube)
+    assert path.read_bytes() == old
     with pytest.raises(FileNotFoundError, match="cube sidecar not found"):
         rz.load_cube(path)

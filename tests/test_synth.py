@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ class TestRegimeSpec:
 
     def test_json_round_trip(self):
         spec = RegimeSpec(kind="periodic", amplitude=5.0, seed=9)
-        assert RegimeSpec.from_json(spec.to_json()) == spec
+        assert RegimeSpec.from_json(asdict(spec)) == spec
         # as read from a file: tuples arrive as lists, and an integer is a valid float
         loaded = RegimeSpec.from_json({"kind": "periodic", "amplitude": 5, "seed": 9,
                                        "center": [500, 500.0], "bbox": [0, 0, 1000, 1000]})
