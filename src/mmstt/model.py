@@ -194,28 +194,16 @@ def tokenize(x: Tensor, params, config: ModelConfig) -> Tensor:
 
 
 def multi_head_attention(z: Tensor, params, prefix: str, config: ModelConfig, attn_sink=None) -> Tensor:
-    """Joint self-attention over the full token sequence, no masking.
+    """Joint self-attention over all N patch-time tokens, no masking: the
+    query, key, value and output projections around one `nm.attention` node
+    of `n_heads` heads. `attn_sink`, when given, receives each layer's full
+    (B, h, N, N) attention weights."""
+    def project(name, x):
+        return nm.broadcast_add(nm.matmul(x, params[prefix + f"attn.w{name}"]),
+                                params[prefix + f"attn.b{name}"])
 
-    The scores, scaled by 1/sqrt(dh), the softmax and the weighted sum are
-    one `nm.attention(q, k, v)` node. It takes base-2 exponentials in one
-    score buffer that it reuses across the walk, and keeps the output and
-    each row's base-2 score max and exponential sum. Its backward recomputes
-    the (N, N) exponentials from them, with both softmax shifts folded into
-    its matrix products, whole batches or one (batch, head) slot at a time.
-    `attn_sink`, when given, receives each layer's full (B, h, N, N) P."""
-    b, n, d = z.shape
-    h = config.n_heads
-    dh = d // h
-
-    def heads(name):
-        y = nm.broadcast_add(nm.matmul(z, params[prefix + f"attn.w{name}"]),
-                             params[prefix + f"attn.b{name}"])
-        return nm.transpose(nm.reshape(y, (b, n, h, dh)), (0, 2, 1, 3))  # (B, h, N, dh)
-
-    q, k, v = heads("q"), heads("k"), heads("v")
-    ctx = nm.attention(q, k, v, sink=attn_sink)   # (B, h, N, dh)
-    ctx = nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
-    return nm.broadcast_add(nm.matmul(ctx, params[prefix + "attn.wo"]), params[prefix + "attn.bo"])
+    q, k, v = (project(name, z) for name in "qkv")
+    return project("o", nm.attention(q, k, v, config.n_heads, sink=attn_sink))
 
 
 def _dropout(z: Tensor, rate: float, rng) -> Tensor:

@@ -331,35 +331,40 @@ def _with_column(x: np.ndarray, col) -> np.ndarray:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, sink: list | None = None) -> Tensor:
-    """`softmax(q @ kᵀ / sqrt(dh)) @ v` over (B, h, N, dh) slots, as one tape node.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, sink: list | None = None) -> Tensor:
+    """Multi-head `softmax(q @ kᵀ / sqrt(dh)) @ v` over (B, N, d) tokens, as one tape node.
 
-    A slot is one (batch, head) pair's N x N score block. The node walks runs
-    of whole batches up to `_ATTN_GROUP_BYTES` of scores, or one slot at a
-    time when one batch's slots exceed it; any walk gives the same bits. Each
-    block is formed in one buffer reused across the walk. Per block it takes
-    the base-2 scores S₂ = (q log2(e) / sqrt(dh)) @ kᵀ and their row max m,
-    forms E = exp2(S₂ - m) in place, takes the row sums l = E @ 1 as a
-    matrix-vector product, and divides E @ v by l, never normalising E
-    itself. It keeps m, l and the output; its backward recomputes E from
-    them, so no (B, h, N, N) array outlives a block. The backward folds each
-    softmax shift into a matrix product through one extra operand column,
-    S₂ - m from [q log2(e) / sqrt(dh) | -m] and [k | 1], dP - D from
-    [dO | -D] and [v | 1], and writes E and dS into two buffers of its own,
-    reused across its walk. The result agrees with the composed `matmul`,
-    `transpose`, `scale`, `softmax_last_axis` and `matmul` chain to float
-    rounding, not to the byte. When `sink` is a list, the full (B, h, N, N)
-    P = E / l is appended to it. A zero h, N or dh is refused; a zero B
-    gives an empty output.
+    q, k and v are viewed as `heads` heads of dh = d / heads columns each,
+    (B, h, N, dh); the output and dq, dk, dv are (B, N, d) arrays written
+    through the same view. A slot is one (batch, head) pair's N x N score
+    block. The node walks runs of whole batches up to `_ATTN_GROUP_BYTES` of
+    scores, or one slot at a time when one batch's slots exceed it; any walk
+    gives the same bits. Each block is formed in one buffer reused across the
+    walk. Per block it takes the base-2 scores S₂ = (q log2(e) / sqrt(dh)) @ kᵀ
+    and their row max m, forms E = exp2(S₂ - m) in place, takes the row sums
+    l = E @ 1 as a matrix-vector product, and divides E @ v by l, never
+    normalising E itself. It keeps m, l and the output; its backward
+    recomputes E from them, so no (B, h, N, N) array outlives a block. The
+    backward folds each softmax shift into a matrix product through one extra
+    operand column, S₂ - m from [q log2(e) / sqrt(dh) | -m] and [k | 1],
+    dP - D from [dO | -D] and [v | 1], and writes E and dS into two buffers
+    of its own, reused across its walk. The result agrees with the composed
+    `matmul`, `transpose`, `scale`, `softmax_last_axis` and `matmul` chain to
+    float rounding, not to the byte. When `sink` is a list, the full
+    (B, h, N, N) P = E / l is appended to it. A zero B gives an empty output.
     """
-    if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention: q, k, v must share one (B, h, N, dh) shape, "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
-    if 0 in q.shape[1:]:
-        raise ShapeError(f"attention: h, N and dh must be positive, got shape {q.shape}")
+    if (q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or heads < 1
+            or 0 in q.shape[1:] or q.shape[2] % heads):
+        raise ShapeError(f"attention: q, k, v need one (B, N, d) shape with N, d > 0 and heads "
+                         f">= 1 dividing d, got {q.shape}, {k.shape}, {v.shape}, heads={heads}")
+    b, n, d = shape = q.shape
     _check_same_dtype("attention", q, k, v)
-    qd, kd, vd = q.data, k.data, v.data
-    b, h, n, dh = q.shape
+    h, dh = heads, d // heads
+
+    def split(x):   # (B, N, d) -> (B, h, N, dh), a view
+        return x.reshape(b, n, h, dh).transpose(0, 2, 1, 3)
+
+    qd, kd, vd = split(q.data), split(k.data), split(v.data)
     s = q.dtype.type(1.0 / math.sqrt(dh))
     s2 = q.dtype.type(_LOG2E / math.sqrt(dh))
     batches = _ATTN_GROUP_BYTES // (h * n * n * q.dtype.itemsize)
@@ -375,7 +380,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, sink: list | None = None) -> Tens
     buf = np.empty(block, dtype=q.dtype)
     qs2 = qd * s2
     ones = np.ones((n, 1), dtype=q.dtype)
-    out = np.empty(q.shape, dtype=q.dtype)
+    result = np.empty(shape, dtype=q.dtype)
+    out = split(result)
     m = np.empty((b, h, n, 1), dtype=q.dtype)
     l = np.empty((b, h, n, 1), dtype=q.dtype)
     p_all = None if sink is None else np.empty((b, h, n, n), dtype=q.dtype)
@@ -398,6 +404,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, sink: list | None = None) -> Tens
         # dq = s dS k and dk = s dSᵀ q. Each shift rides in an extra column:
         # [q s2 | -m] [k | 1]ᵀ = S₂ - m and [g | -D] [v | 1]ᵀ = g vᵀ - D. Each
         # 1/l is moved onto an (N, dh) operand.
+        g = split(g)
         qm = _with_column(qd * s2, -m)
         k1 = _with_column(kd, 1)
         gd = _with_column(g, -(g * out).sum(axis=-1, keepdims=True))
@@ -406,9 +413,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, sink: list | None = None) -> Tens
         qsl = qd * (s / l)
         e_buf = np.empty(block, dtype=g.dtype)
         ds_buf = np.empty(block, dtype=g.dtype)
-        dq = np.empty(qd.shape, dtype=g.dtype)
-        dk = np.empty(qd.shape, dtype=g.dtype)
-        dv = np.empty(qd.shape, dtype=g.dtype)
+        grads = [np.empty(shape, dtype=g.dtype) for _ in range(3)]
+        dq, dk, dv = map(split, grads)
         for ix in groups:
             rows = len(kd[ix])
             e = np.matmul(qm[ix], np.swapaxes(k1[ix], -1, -2), out=e_buf[:rows])
@@ -419,9 +425,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, sink: list | None = None) -> Tens
             np.matmul(ds, kd[ix], out=dq[ix])
             np.matmul(np.swapaxes(ds, -1, -2), qsl[ix], out=dk[ix])
         dq *= s / l
-        return dq, dk, dv
+        return grads
 
-    return _record(Tensor._wrap(out), (q, k, v), backward)
+    return _record(Tensor._wrap(result), (q, k, v), backward)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

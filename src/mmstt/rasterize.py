@@ -143,6 +143,11 @@ class GridInterpolator:
             raise RasterizeError(
                 f"no point lies inside bbox {grid.bbox}; every pixel would be extrapolated"
             )
+        # Qhull, the nearest-site query and the cell centers square coordinate differences
+        dx = float(max(x.max(), xmax)) - float(min(x.min(), xmin))
+        dy = float(max(y.max(), ymax)) - float(min(y.min(), ymin))
+        if not math.isfinite(dx * dx + dy * dy):
+            raise RasterizeError(f"points and bbox {grid.bbox}: squared extent overflows a float")
         # here, so only rasterizing pays their import
         from scipy import sparse
         from scipy.spatial import Delaunay, QhullError, cKDTree

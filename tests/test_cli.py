@@ -285,6 +285,12 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
 
     long_field = tmp_path / "long_field.csv"
     long_field.write_text((out / "data.csv").read_text() + "p,1," + "9" * 200_000 + "\n")
+    # eastings and northings times 1e200: still a triangle-rich scatter
+    far_apart = tmp_path / "far_apart.csv"
+    header, *rows = (out / "data.csv").read_text().splitlines()
+    far_apart.write_text("\n".join([header] + [
+        ",".join([pid, repr(float(x) * 1e200), repr(float(y) * 1e200), *rest])
+        for pid, x, y, *rest in (row.split(",") for row in rows)]) + "\n")
 
     def train(model=paths["model"], train=paths["train"]):
         return ["train", "--cube", str(cube), "--model-config", model, "--train-config", train,
@@ -377,6 +383,12 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "infinite bbox": rasterize(out / "data.csv", "--bbox", "0", "0", "inf", "inf"),
         "bbox that holds no point": rasterize(out / "data.csv", "--bbox", "1e9", "1e9", "2e9", "2e9"),
         "corrupt CSV (field over the csv size limit)": rasterize(long_field),
+        "bbox whose squared extent overflows the nearest-site query": rasterize(
+            out / "data.csv", "--bbox", "0", "0", "1e305", "1e305", "--t-in", "2", "--t-out", "2"),
+        "bbox whose squared extent overflows the cell centers": rasterize(
+            out / "data.csv", "--bbox", "0", "0", "1e306", "1e306", "--t-in", "2", "--t-out", "2"),
+        "points whose squared extent overflows the triangulation": rasterize(
+            far_apart, "--t-in", "2", "--t-out", "2"),
     }
     messages = {
         "checkpoint without params.mmst": "params.mmst",
@@ -410,6 +422,11 @@ def test_malformed_inputs_exit_1_without_traceback(configs, capsys):
         "sidecar with a 3-number bbox": ("short_bbox.mmst.json", "bbox"),
         "sidecar with a text bbox": ("text_bbox.mmst.json", "bbox"),
         "infinite bbox": "bbox",
+        "bbox whose squared extent overflows the nearest-site query": (
+            "bbox (0.0, 0.0, 1e+305, 1e+305)", "squared extent"),
+        "bbox whose squared extent overflows the cell centers": (
+            "bbox (0.0, 0.0, 1e+306, 1e+306)", "squared extent"),
+        "points whose squared extent overflows the triangulation": ("bbox (", "squared extent"),
     }
     # config values of the wrong JSON type or out of range; the message names key and value
     bad_values = [

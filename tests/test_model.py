@@ -291,6 +291,36 @@ def test_encoder_layer_gradient_check():
     assert report.passed, str(report)
 
 
+class _OpRecorder(nm.GradTape):
+    """A tape that also keeps the name of the op behind each node."""
+
+    def __init__(self):
+        super().__init__()
+        self.ops = []
+
+    def record(self, out, inputs, backward):
+        self.ops.append(backward.__qualname__.split(".")[0])
+        super().record(out, inputs, backward)
+
+
+def test_attention_is_projections_around_one_node():
+    # the head split and merge live inside nm.attention: the layer records
+    # its four projections and the node, and no reshape or transpose
+    cfg = ModelConfig(t_in=10, t_out=10, c_in=6, grid_size=16, patch_size=4,
+                      embed_dim=32, n_layers=2, n_heads=4, ffn_hidden=128)
+    rng = np.random.default_rng(0)
+    params = md.init_params(cfg, rng)
+    z = Tensor(rng.normal(size=(2, cfg.n_tokens, cfg.embed_dim)), dtype=np.float32)
+    with _OpRecorder() as tape:
+        md.multi_head_attention(z, params, "layer0.", cfg)
+    assert sorted(tape.ops) == ["attention"] + ["broadcast_add"] * 4 + ["matmul"] * 4
+    x = rand_input(rng, cfg, batch=2)
+    y = Tensor(rng.normal(size=(2, cfg.t_out, 1, 16, 16)), dtype=np.float32)
+    with _OpRecorder() as tape:
+        smooth_l1(md.forward(x, params, cfg), y)
+    assert len(tape.ops) == 56
+
+
 def test_checkpoint_round_trip(tmp_path):
     for dtype in (np.float32, np.float64):
         ckpt = tmp_path / np.dtype(dtype).name

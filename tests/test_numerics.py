@@ -192,17 +192,11 @@ def test_float32_gelu_is_close_to_the_float64_formula():
 # ---------------------------------------------------------------------------
 
 
-def _split_heads(x, bias, h):
-    # the model's head split: bias add, (B, N, D) -> (B, h, N, D/h) view
-    b, n, d = x.shape
-    y = nm.broadcast_add(x, bias)
-    return nm.transpose(nm.reshape(y, (b, n, h, d // h)), (0, 2, 1, 3))
-
-
 def _attention_runs(shape, dtype, attends):
-    """(values, gradients) of each `attend(q, k, v, sink)` on one random input:
-    the output and the sink's P, then the gradients of the head split's inputs
-    and biases under a fixed linear loss."""
+    """(values, gradients) of each `attend(q, k, v, h, sink)` on one random
+    input, with (b, h, n, dh) = `shape`: the output and the sink's P, then
+    the gradients of the (B, N, h·dh) inputs and of the biases added to
+    them, under a fixed linear loss."""
     b, h, n, dh = shape
     rng = np.random.default_rng(n)
 
@@ -211,21 +205,21 @@ def _attention_runs(shape, dtype, attends):
 
     xs = [leaf(b, n, h * dh) for _ in range(3)]
     biases = [leaf(h * dh) for _ in range(3)]
-    weight = leaf(b, h, n, dh)
+    weight = leaf(b, n, h * dh)
     runs = []
     for attend in attends:
         sink = []
         with GradTape() as tape:
-            q, k, v = (_split_heads(x, bias, h) for x, bias in zip(xs, biases))
-            out = attend(q, k, v, sink)
+            q, k, v = (nm.broadcast_add(x, bias) for x, bias in zip(xs, biases))
+            out = attend(q, k, v, h, sink)
             loss = mean_all(nm.mul(out, weight))
         grads = tape.gradients(loss, xs + biases)
         runs.append(([out.data, *sink], grads))
     return runs
 
 
-def _fused(q, k, v, sink):
-    return nm.attention(q, k, v, sink=sink)
+def _fused(q, k, v, h, sink):
+    return nm.attention(q, k, v, h, sink=sink)
 
 
 # in float32, (2, 2, 16, 8) is one group and (3, 4, 160, 8) one batch per group;
@@ -238,10 +232,13 @@ def test_attention_is_close_to_the_composed_chain(shape, dtype):
     tol = 1e-5 if dtype == np.float32 else 1e-12
     scale = 1.0 / np.sqrt(shape[-1])   # inexact in float32 for dh = 8
 
-    def chain(q, k, v, sink):
+    def chain(q, k, v, h, sink):
+        # the head split and merge as reshape/transpose nodes around the chain
+        b, n, d = q.shape
+        q, k, v = (nm.transpose(nm.reshape(x, (b, n, h, d // h)), (0, 2, 1, 3)) for x in (q, k, v))
         p = nm.softmax_last_axis(nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), scale))
         sink.append(p.data)
-        return nm.matmul(p, v)
+        return nm.reshape(nm.transpose(nm.matmul(p, v), (0, 2, 1, 3)), (b, n, d))
 
     (chain_values, chain_grads), (values, grads) = _attention_runs(shape, dtype, [chain, _fused])
     for old, new in zip(chain_values + chain_grads, values + grads):
@@ -264,9 +261,9 @@ def test_attention_walk_never_changes_a_bit(shape, dtype, monkeypatch):
     # must give the same bytes. Two batches over (3, 4, 160, 8) leave a short
     # last run, the one walk that fills only part of the reused score buffer.
     def walked(budget):
-        def attend(q, k, v, sink):
+        def attend(q, k, v, h, sink):
             monkeypatch.setattr("mmstt.numerics.tensor._ATTN_GROUP_BYTES", budget)
-            return _fused(q, k, v, sink)
+            return _fused(q, k, v, h, sink)
         return attend
 
     _, h, n, _ = shape
@@ -284,15 +281,17 @@ def test_attention_walk_never_changes_a_bit(shape, dtype, monkeypatch):
 def test_attention_of_extreme_score_rows_stays_finite(dtype):
     # score rows spanning up to +-1e4, and one constant row: the forward's
     # exponentials peak at exactly 1, the backward's, from the shift folded
-    # into a product, only at about 1; neither may overflow or warn
+    # into a product, only at about 1; neither may overflow or warn. Column
+    # j·dh is head j's first.
     b, h, n, dh = 1, 2, 16, 4
     rng = np.random.default_rng(6)
-    q = np.zeros((b, h, n, dh))
-    q[..., 0] = np.linspace(-2e4, 2e4, n)
-    q[0, 1, 3, 0] = 0.0
-    k = rng.normal(size=(b, h, n, dh))
-    k[..., 0] = np.linspace(-1.0, 1.0, n)
-    scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(dh)
+    q = np.zeros((b, n, h * dh))
+    q[..., ::dh] = np.linspace(-2e4, 2e4, n)[:, None]
+    q[0, 3, dh] = 0.0
+    k = rng.normal(size=(b, n, h * dh))
+    k[..., ::dh] = np.linspace(-1.0, 1.0, n)[:, None]
+    by_head = [a.reshape(b, n, h, dh) for a in (q, k)]
+    scores = np.einsum("bihc,bjhc->bhij", *by_head) / math.sqrt(dh)
     assert np.ptp(scores, axis=-1).max() == pytest.approx(2e4)
     assert np.ptp(scores[0, 1, 3]) == 0.0
     tensors = [Tensor(a, dtype=dtype) for a in (q, k, rng.normal(size=q.shape))]
@@ -301,7 +300,7 @@ def test_attention_of_extreme_score_rows_stays_finite(dtype):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with GradTape() as tape:
-            out = nm.attention(*tensors, sink=sink)
+            out = nm.attention(*tensors, h, sink=sink)
             loss = mean_all(nm.mul(out, weight))
         grads = tape.gradients(loss, tensors)
     assert np.isfinite(out.data).all()
@@ -311,30 +310,36 @@ def test_attention_of_extreme_score_rows_stays_finite(dtype):
 
 def test_attention_without_sink_matches_and_rejects_bad_shapes():
     rng = np.random.default_rng(3)
-    q, k, v = (Tensor(rng.normal(size=(1, 2, 5, 4)), dtype=np.float32) for _ in range(3))
+    q, k, v = (Tensor(rng.normal(size=(1, 5, 8)), dtype=np.float32) for _ in range(3))
     sink = []
-    assert np.array_equal(nm.attention(q, k, v).data, nm.attention(q, k, v, sink=sink).data)
+    assert np.array_equal(nm.attention(q, k, v, 2).data, nm.attention(q, k, v, 2, sink=sink).data)
     assert sink[0].shape == (1, 2, 5, 5)
     with pytest.raises(ShapeError, match="attention"):
-        nm.attention(q, k, Tensor(np.zeros((1, 2, 5, 3)), dtype=np.float32))
+        nm.attention(q, k, Tensor(np.zeros((1, 5, 6)), dtype=np.float32), 2)
     with pytest.raises(ShapeError, match="dtype"):
-        nm.attention(q, k, Tensor(np.zeros((1, 2, 5, 4))))
+        nm.attention(q, k, Tensor(np.zeros((1, 5, 8))), 2)
+    # a rank other than 3, fewer than one head, and d not a multiple of heads
+    for shape, heads in [((1, 2, 5, 4), 2), ((5, 8), 2), ((1, 5, 8), 0), ((1, 5, 8), 3)]:
+        x = Tensor(np.zeros(shape), dtype=np.float32)
+        with pytest.raises(ShapeError, match=re.escape(f"{shape}") + ".*" + f"heads={heads}"):
+            nm.attention(x, x, x, heads)
 
 
-@pytest.mark.parametrize("shape", [(0, 2, 5, 4), (1, 0, 5, 4), (1, 2, 0, 4), (1, 2, 5, 0)])
+# a zero B with a zero N is still refused
+@pytest.mark.parametrize("shape", [(0, 5, 8), (1, 0, 8), (1, 5, 0), (0, 0, 8)])
 def test_attention_of_a_zero_extent(shape):
     q, k, v = (Tensor(np.zeros(shape), dtype=np.float32) for _ in range(3))
-    if shape[0]:
-        message = f"attention: h, N and dh must be positive, got shape {shape}"
-        with pytest.raises(ShapeError, match=re.escape(message)):
-            nm.attention(q, k, v)
+    if shape[0] == 0 and shape[1]:
+        # an empty batch has an empty output and empty gradients
+        with _ClosureRecorder() as tape:
+            out = nm.attention(q, k, v, 2)
+        assert out.shape == shape
+        (backward,) = tape.backwards
+        assert [g.shape for g in backward(np.zeros(shape, dtype=np.float32))] == [shape] * 3
         return
-    # an empty batch has an empty output and empty gradients
-    with _ClosureRecorder() as tape:
-        out = nm.attention(q, k, v)
-    assert out.shape == shape
-    (backward,) = tape.backwards
-    assert [g.shape for g in backward(np.zeros(shape, dtype=np.float32))] == [shape] * 3
+    message = f"with N, d > 0 and heads >= 1 dividing d, got {shape}, {shape}, {shape}, heads=2"
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        nm.attention(q, k, v, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +448,12 @@ OP_CASES = {
     ),
     "mean_all": (1, [((5,),), ((3, 4),), ((2, 3, 2),)], lambda ps: mean_all(ps[0])),
     "scale": (1, [((4,),), ((2, 3),), ((2, 2, 2),)], lambda ps: nm.scale(ps[0], 1.7)),
-    # (2, 2, 200, 4) in float64 is walked one slot at a time, four slots
+    # heads by d: one of width 4, three of width 2, two of width 4; (2, 200, 8)
+    # in float64 is walked one (batch, head) slot at a time, four slots
     "attention": (
         3,
-        [((1, 1, 3, 4),) * 3, ((2, 3, 5, 2),) * 3, ((2, 2, 200, 4),) * 3],
-        lambda ps: nm.attention(*ps),
+        [((1, 3, 4),) * 3, ((2, 5, 6),) * 3, ((2, 200, 8),) * 3],
+        lambda ps: nm.attention(*ps, {4: 1, 6: 3, 8: 2}[ps[0].shape[-1]]),
     ),
     "conv1x1": (
         3,
@@ -643,14 +649,16 @@ def test_no_backward_closure_captures_a_tensor(name):
 def test_attention_backward_keeps_only_q_k_v_the_output_and_row_stats():
     # the scaled query and the backward's (B, h, N, dh + 1) operands are
     # rebuilt per call: one captured would stay pinned, per layer, for as
-    # long as the tape lives
+    # long as the tape lives. q, k, v and the output are kept as per-head
+    # views, so they are told apart by the memory they share.
     rng = np.random.default_rng(4)
-    q, k, v = (_rand(rng, (2, 3, 5, 4)) for _ in range(3))
+    q, k, v = (_rand(rng, (2, 5, 12)) for _ in range(3))
     with _ClosureRecorder() as tape:
-        out = nm.attention(q, k, v)
+        out = nm.attention(q, k, v, 3)
     (backward,) = tape.backwards
     kept = _captured(backward, np.ndarray)
-    others = [a.shape for a in kept if not any(a is t.data for t in (q, k, v, out))]
+    others = [a.shape for a in kept
+              if not any(np.shares_memory(a, t.data) for t in (q, k, v, out))]
     assert others == [(2, 3, 5, 1)] * 2   # the row max m and row sum l
 
 
